@@ -19,15 +19,14 @@
 #include "bench/bench_util.h"
 #include "cla/compressed_matrix.h"
 #include "data/generators.h"
-#include "factorized/factorized_glm.h"
-#include "factorized/factorized_gramian.h"
+#include "factorized/factorized_operand.h"
 #include "laopt/cse.h"
 #include "laopt/fusion.h"
 #include "laopt/executor.h"
 #include "modelsel/model_selection.h"
 #include "la/kernels.h"
 #include "ml/metrics.h"
-#include "ml/sparse_glm.h"
+#include "ml/unified_trainers.h"
 #include "modelsel/successive_halving.h"
 #include "ps/parameter_server.h"
 #include "relational/sort_merge_join.h"
@@ -150,7 +149,9 @@ void SolverAblation(const BenchContext& ctx) {
   options.ds = 2;
   options.dr = 20;
   auto ds = data::MakeStarSchema(options, 11);
-  auto nm = *factorized::NormalizedMatrix::Make(ds.xs, {{ds.xr, ds.fk}});
+  auto nm = std::make_shared<const factorized::NormalizedMatrix>(
+      *factorized::NormalizedMatrix::Make(ds.xs, {{ds.xr, ds.fk}}));
+  const laopt::Operand fact_x = factorized::MakeFactorizedOperand(nm);
   const std::string size = SizeLabel(ns, 22);
 
   ml::GlmConfig gd;
@@ -161,7 +162,7 @@ void SolverAblation(const BenchContext& ctx) {
   TablePrinter table({"method", "ms", "loss"});
   {
     Stopwatch w;
-    auto model = factorized::TrainFactorizedGlm(nm, ds.y, gd);
+    auto model = ml::TrainGlmOnOperand(fact_x, ds.y, gd);
     double ms = w.ElapsedMillis();
     if (!model.ok()) std::exit(1);
     table.Row({"fact_bgd", Fmt(ms, 1), Fmt(model->loss_history.back(), 4)});
@@ -169,7 +170,8 @@ void SolverAblation(const BenchContext& ctx) {
   }
   {
     Stopwatch w;
-    auto model = factorized::TrainMaterializedGlm(nm, ds.y, gd);
+    auto x = nm->Materialize();
+    auto model = ml::TrainGlm(x, ds.y, gd);
     double ms = w.ElapsedMillis();
     if (!model.ok()) std::exit(1);
     table.Row({"mat_bgd", Fmt(ms, 1), Fmt(model->loss_history.back(), 4)});
@@ -177,17 +179,18 @@ void SolverAblation(const BenchContext& ctx) {
   }
   {
     Stopwatch w;
-    auto model = factorized::TrainFactorizedNormalEquations(nm, ds.y);
+    ml::GlmConfig ne;
+    ne.solver = ml::GlmSolver::kNormalEquations;
+    ml::GlmModel model;
+    Status st = ml::RunNormalEquationsOnOperand(fact_x, ds.y, ne, nullptr, &model);
     double ms = w.ElapsedMillis();
-    if (!model.ok()) std::exit(1);
-    auto loss = ml::GlmLoss(nm.Materialize(), ds.y, model->weights, model->intercept,
-                            ml::GlmFamily::kGaussian, 0.0);
-    table.Row({"fact_gramian", Fmt(ms, 1), Fmt(*loss, 4)});
+    if (!st.ok()) std::exit(1);
+    table.Row({"fact_gramian", Fmt(ms, 1), Fmt(model.loss_history.back(), 4)});
     ctx.json->Record("ablation.solver.fact_gramian", size, 1, ms * 1e6, 0.0);
   }
   {
     Stopwatch w;
-    auto x = nm.Materialize();
+    auto x = nm->Materialize();
     ml::GlmConfig ne;
     ne.solver = ml::GlmSolver::kNormalEquations;
     auto model = ml::TrainGlm(x, ds.y, ne);
@@ -342,8 +345,9 @@ void SparseTrainingAblation(const BenchContext& ctx) {
     Stopwatch w1;
     auto dense_model = ml::TrainGlm(dense, y, config);
     double dense_ms = w1.ElapsedMillis();
+    const laopt::Operand csr(std::make_shared<const la::SparseMatrix>(std::move(sparse)));
     Stopwatch w2;
-    auto sparse_model = ml::TrainGlmSparse(sparse, y, config);
+    auto sparse_model = ml::TrainGlmOnOperand(csr, y, config);
     double sparse_ms = w2.ElapsedMillis();
     if (!dense_model.ok() || !sparse_model.ok()) std::exit(1);
     table.Row({Fmt(density, 2), Fmt(dense_ms, 1), Fmt(sparse_ms, 1),

@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "cla/compressed_glm.h"
 #include "cla/compressed_matrix.h"
 #include "data/generators.h"
 #include "laopt/analysis.h"
@@ -191,7 +190,7 @@ int main(int argc, char** argv) {
                          HandCodedCompressedGlmMsPerEpoch(compressed, y, config));
 
       Stopwatch watch;
-      auto unified = cla::TrainCompressedGlm(compressed, y, config);
+      auto unified = ml::TrainGlmOnOperand(operand, y, config);
       if (!unified.ok()) std::exit(1);
       unified_ms = std::min(
           unified_ms, watch.ElapsedMillis() / static_cast<double>(unified->epochs_run));

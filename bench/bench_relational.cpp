@@ -14,8 +14,10 @@
 
 #include "bench/bench_util.h"
 #include "data/generators.h"
-#include "factorized/factorized_glm.h"
+#include "factorized/factorized_operand.h"
 #include "factorized/normalized_matrix.h"
+#include "ml/glm.h"
+#include "ml/unified_trainers.h"
 #include "relational/operators.h"
 #include "util/stopwatch.h"
 
@@ -122,7 +124,7 @@ int main(int argc, char** argv) {
       if (!x.ok() || !y.ok()) return 1;
       double prep_ms = w.ElapsedMillis();
       Stopwatch wt;
-      auto model = factorized::TrainDenseGlmMatrixForm(*x, *y, config);
+      auto model = ml::TrainGlm(*x, *y, config);
       if (!model.ok()) return 1;
       double train_ms = wt.ElapsedMillis();
       table.Row({"sql_join_export", Fmt(prep_ms, 1), Fmt(train_ms, 1),
@@ -136,9 +138,10 @@ int main(int argc, char** argv) {
       Stopwatch w;
       auto nm = factorized::NormalizedMatrix::Make(ds.xs, {{ds.xr, ds.fk}});
       if (!nm.ok()) return 1;
+      const laopt::Operand x = factorized::MakeFactorizedOperand(std::move(*nm));
       double prep_ms = w.ElapsedMillis();
       Stopwatch wt;
-      auto model = factorized::TrainFactorizedGlm(*nm, ds.y, config);
+      auto model = ml::TrainGlmOnOperand(x, ds.y, config);
       if (!model.ok()) return 1;
       double train_ms = wt.ElapsedMillis();
       table.Row({"factorized", Fmt(prep_ms, 1), Fmt(train_ms, 1),

@@ -12,12 +12,16 @@
 #     miss. bench/bench_pipeline --smoke gates the declarative pipeline
 #     chooser: factorized picked (and faster) on the skewed star join,
 #     materialization picked on the inverted workload, identical models
-#     from both routes.
+#     from both routes. bench/bench_factorized --smoke gates E1's parity:
+#     the one batch-GD trainer bound to the factorized join and to the
+#     materialized join must agree to 1e-9.
 #  3. A mixed-representation parity gate: tests/laopt_repr_test (one laopt
 #     plan executed under dense, sparse and compressed leaf bindings, plus
-#     the unified GLM/k-means trainers) built and run under TSan and under
-#     ASan+UBSan, so the representation-dispatch and slot-reuse paths of the
-#     buffered executor are exercised with threads under both sanitizers.
+#     the GLM/k-means trainers over dense, CSR, CLA and factorized views of
+#     one star join) built and run under TSan and under ASan+UBSan, each
+#     plain and with DMML_INTER_NODE=1, so the representation-dispatch and
+#     slot-reuse paths of the buffered executor are exercised with threads
+#     under both sanitizers.
 #     The TSan build additionally runs obs_test (concurrent endpoint scrapes
 #     against the exposition server) and laopt_profile_test (profile writes
 #     racing registry reads). Both sanitizer builds also run
@@ -96,7 +100,7 @@ echo "static_checks: building smoke benches (Release) in $smoke_dir..."
 if cmake -B "$smoke_dir" -S "$repo_root" -DCMAKE_BUILD_TYPE=Release >/dev/null \
     && cmake --build "$smoke_dir" --target bench_kernels --target bench_cla \
          --target bench_laopt --target bench_ablations --target bench_modelsel \
-         --target bench_pipeline -j >/dev/null; then
+         --target bench_pipeline --target bench_factorized -j >/dev/null; then
   if "$smoke_dir/bench/bench_kernels" --smoke; then
     echo "static_checks: kernel smoke clean"
   else
@@ -118,9 +122,10 @@ if cmake -B "$smoke_dir" -S "$repo_root" -DCMAKE_BUILD_TYPE=Release >/dev/null \
     echo "static_checks: FAILED — bench_laopt smoke (profiler overhead bound)" >&2
     status=1
   fi
-  # The ablation, model-selection and pipeline benches exit nonzero on any
-  # parity, training or route-choice failure; --smoke keeps each to seconds.
-  for b in bench_ablations bench_modelsel bench_pipeline; do
+  # The ablation, model-selection, pipeline and factorized benches exit
+  # nonzero on any parity, training or route-choice failure; --smoke keeps
+  # each to seconds.
+  for b in bench_ablations bench_modelsel bench_pipeline bench_factorized; do
     if "$smoke_dir/bench/$b" --smoke >/dev/null; then
       echo "static_checks: $b smoke clean"
     else
@@ -178,7 +183,7 @@ if cmake -B "$smoke_dir" -S "$repo_root" -DCMAKE_BUILD_TYPE=Release >/dev/null \
     echo "static_checks: skipping obs endpoint smoke (curl not found)"
   fi
 else
-  echo "static_checks: FAILED — could not build bench_kernels/bench_cla/bench_laopt" >&2
+  echo "static_checks: FAILED — could not build the smoke benches" >&2
   status=1
 fi
 
@@ -248,7 +253,8 @@ run_sanitized_repr_gate() {
       && cmake --build "$dir" --target laopt_repr_test --target laopt_verify_test \
            --target laopt_sched_test --target modelsel_shared_test \
            --target pipeline_frontend_test -j >/dev/null; then
-    if "$dir/tests/laopt_repr_test" >/dev/null; then
+    if "$dir/tests/laopt_repr_test" >/dev/null \
+        && DMML_INTER_NODE=1 "$dir/tests/laopt_repr_test" >/dev/null; then
       echo "static_checks: repr parity clean under $san"
     else
       echo "static_checks: FAILED — laopt_repr_test under $san" >&2

@@ -153,46 +153,4 @@ DenseMatrix FactorizedColumnSums(const NormalizedMatrix& t) {
   return sums;
 }
 
-Result<ml::GlmModel> TrainFactorizedNormalEquations(const NormalizedMatrix& t,
-                                                    const la::DenseMatrix& y,
-                                                    double l2, bool fit_intercept) {
-  const size_t n = t.rows();
-  const size_t d = t.cols();
-  if (y.rows() != n || y.cols() != 1) {
-    return Status::InvalidArgument("factorized normal equations: y must be n x 1");
-  }
-  const size_t da = fit_intercept ? d + 1 : d;
-
-  DenseMatrix gram = FactorizedGramian(t);
-  DMML_ASSIGN_OR_RETURN(DenseMatrix xty, t.TransposeMultiply(y));
-
-  DenseMatrix a(da, da);
-  DenseMatrix b(da, 1);
-  for (size_t i = 0; i < d; ++i) {
-    for (size_t j = 0; j < d; ++j) a.At(i, j) = gram.At(i, j);
-    b.At(i, 0) = xty.At(i, 0);
-  }
-  if (fit_intercept) {
-    DenseMatrix col_sums = FactorizedColumnSums(t);
-    for (size_t j = 0; j < d; ++j) {
-      a.At(d, j) = col_sums.At(j, 0);
-      a.At(j, d) = col_sums.At(j, 0);
-    }
-    a.At(d, d) = static_cast<double>(n);
-    b.At(d, 0) = la::Sum(y);
-  }
-  if (l2 > 0) {
-    for (size_t j = 0; j < d; ++j) a.At(j, j) += l2 * static_cast<double>(n);
-  }
-  DMML_ASSIGN_OR_RETURN(DenseMatrix sol, la::Solve(a, b));
-
-  ml::GlmModel model;
-  model.family = ml::GlmFamily::kGaussian;
-  model.weights = DenseMatrix(d, 1);
-  for (size_t j = 0; j < d; ++j) model.weights.At(j, 0) = sol.At(j, 0);
-  model.intercept = fit_intercept ? sol.At(d, 0) : 0.0;
-  model.epochs_run = 1;
-  return model;
-}
-
 }  // namespace dmml::factorized

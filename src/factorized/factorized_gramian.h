@@ -14,13 +14,13 @@
 ///                             with ≤ nS nonzeros.
 ///
 /// With the Gramian and Tᵀy in hand, ridge regression solves in closed form
-/// without ever touching an nS×d materialized matrix.
+/// without ever touching an nS×d materialized matrix:
+/// ml::RunNormalEquationsOnOperand on a factorized operand
+/// (factorized_operand.h) gets XᵀX and colSums(X) from these two functions.
 #ifndef DMML_FACTORIZED_FACTORIZED_GRAMIAN_H_
 #define DMML_FACTORIZED_FACTORIZED_GRAMIAN_H_
 
 #include "factorized/normalized_matrix.h"
-#include "ml/glm.h"
-#include "util/result.h"
 
 namespace dmml::factorized {
 
@@ -29,14 +29,6 @@ la::DenseMatrix FactorizedGramian(const NormalizedMatrix& t);
 
 /// \brief Computes Tᵀ1 (column sums as d x 1) without materializing T.
 la::DenseMatrix FactorizedColumnSums(const NormalizedMatrix& t);
-
-/// \brief Closed-form ridge regression over the normalized design matrix:
-/// solves (TᵀT + λnI) w = Tᵀy (with an optional intercept row/column
-/// appended), entirely from factorized statistics.
-Result<ml::GlmModel> TrainFactorizedNormalEquations(const NormalizedMatrix& t,
-                                                    const la::DenseMatrix& y,
-                                                    double l2 = 0.0,
-                                                    bool fit_intercept = true);
 
 }  // namespace dmml::factorized
 

@@ -114,42 +114,6 @@ class EpochScope {
   uint64_t start_;
 };
 
-// Full-batch gradient descent.
-void RunBatchGd(const DenseMatrix& x, const DenseMatrix& y, const GlmConfig& config,
-                GlmModel* model) {
-  const size_t n = x.rows(), d = x.cols();
-  DenseMatrix grad(d, 1);
-  double prev_loss = std::numeric_limits<double>::infinity();
-  for (size_t epoch = 0; epoch < config.max_epochs; ++epoch) {
-    EpochScope epoch_scope;
-    grad.Fill(0.0);
-    double bias_grad = 0.0;
-    for (size_t i = 0; i < n; ++i) {
-      double score = la::Dot(x.Row(i), model->weights.data(), d) + model->intercept;
-      double g = ScoreGradient(score, y.At(i, 0), config.family);
-      la::Axpy(g, x.Row(i), grad.data(), d);
-      bias_grad += g;
-    }
-    double inv_n = 1.0 / static_cast<double>(n);
-    double lr = config.learning_rate / (1.0 + config.lr_decay * static_cast<double>(epoch));
-    for (size_t j = 0; j < d; ++j) {
-      double gj = grad.At(j, 0) * inv_n + config.l2 * model->weights.At(j, 0);
-      model->weights.At(j, 0) -= lr * gj;
-    }
-    if (config.fit_intercept) model->intercept -= lr * bias_grad * inv_n;
-
-    double loss = *GlmLoss(x, y, model->weights, model->intercept, config.family,
-                           config.l2);
-    model->loss_history.push_back(loss);
-    model->epochs_run = epoch + 1;
-    if (std::isfinite(prev_loss) &&
-        std::fabs(prev_loss - loss) <= config.tolerance * std::max(1.0, prev_loss)) {
-      break;
-    }
-    prev_loss = loss;
-  }
-}
-
 // Serial SGD / mini-batch SGD (batch = 1 for plain SGD).
 void RunSgd(const DenseMatrix& x, const DenseMatrix& y, const GlmConfig& config,
             size_t batch_size, GlmModel* model) {
@@ -336,21 +300,6 @@ void RunHogwild(const DenseMatrix& x, const DenseMatrix& y, const GlmConfig& con
   }
 }
 
-// Closed-form ridge solution (X^T X + n*lambda*I) w = X^T y, with optional
-// intercept handled by augmenting a ones column. Delegates to the
-// representation-polymorphic normal-equations path (ml/unified_trainers.h):
-// a dense binding routes t(X)%*%X to the SYRK kernel, t(X)%*%y to the fused
-// transpose-multiply and colSums to the column reduction -- the exact
-// kernels (and bit pattern) this function used to call directly.
-Status RunNormalEquations(const DenseMatrix& x, const DenseMatrix& y,
-                          const GlmConfig& config, ThreadPool* pool,
-                          GlmModel* model) {
-  return RunNormalEquationsOnOperand(
-      laopt::Operand(
-          std::shared_ptr<const DenseMatrix>(std::shared_ptr<void>(), &x)),
-      y, config, pool, model);
-}
-
 }  // namespace
 
 Result<GlmModel> TrainGlm(const DenseMatrix& x, const DenseMatrix& y,
@@ -384,8 +333,7 @@ Result<GlmModel> TrainGlm(const DenseMatrix& x, const DenseMatrix& y,
   DMML_TRACE_SPAN("ml.glm.train");
   switch (config.solver) {
     case GlmSolver::kBatchGd:
-      RunBatchGd(x, y, config, &model);
-      break;
+      return TrainGlmOnOperand(BorrowOperand(x), y, config, pool);
     case GlmSolver::kSgd:
       RunSgd(x, y, config, 1, &model);
       break;
@@ -396,7 +344,8 @@ Result<GlmModel> TrainGlm(const DenseMatrix& x, const DenseMatrix& y,
       RunHogwild(x, y, config, pool, &model);
       break;
     case GlmSolver::kNormalEquations:
-      DMML_RETURN_IF_ERROR(RunNormalEquations(x, y, config, pool, &model));
+      DMML_RETURN_IF_ERROR(RunNormalEquationsOnOperand(BorrowOperand(x), y,
+                                                       config, pool, &model));
       break;
     case GlmSolver::kAdagrad:
       RunAdaptive(x, y, config, /*adam=*/false, &model);

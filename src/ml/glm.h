@@ -59,7 +59,11 @@ struct GlmModel {
   GlmFamily family = GlmFamily::kGaussian;
   la::DenseMatrix weights;  ///< d x 1.
   double intercept = 0.0;
-  std::vector<double> loss_history;  ///< Training loss per epoch.
+  /// Training loss per epoch. Batch GD: entry e is the loss at the weights
+  /// epoch e started from. The per-row solvers (SGD, mini-batch, Hogwild,
+  /// Adagrad, Adam): the loss after epoch e's updates. Normal equations:
+  /// one entry, the loss at the solution.
+  std::vector<double> loss_history;
   size_t epochs_run = 0;
 
   /// \brief Linear scores X w + b as (n x 1).
@@ -74,6 +78,12 @@ struct GlmModel {
 };
 
 /// \brief Trains a GLM on (x: n x d, y: n x 1) per `config`.
+///
+/// kBatchGd and kNormalEquations are the dense bindings of
+/// ml::TrainGlmOnOperand and ml::RunNormalEquationsOnOperand
+/// (ml/unified_trainers.h), the one implementation of each for every
+/// representation. The per-row solvers are implemented here, since they
+/// are not whole-matrix programs.
 Result<GlmModel> TrainGlm(const la::DenseMatrix& x, const la::DenseMatrix& y,
                           const GlmConfig& config, ThreadPool* pool = nullptr);
 

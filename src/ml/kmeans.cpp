@@ -1,190 +1,35 @@
 #include "ml/kmeans.h"
 
-#include <algorithm>
-#include <cmath>
 #include <limits>
 
 #include "la/kernels.h"
-#include "ml/metrics.h"
-#include "obs/metrics.h"
-#include "obs/trace.h"
-#include "util/rng.h"
+#include "ml/unified_trainers.h"
 
 namespace dmml::ml {
 
 using la::DenseMatrix;
-
-namespace {
-
-// Index of the nearest center for row i, plus its squared distance.
-std::pair<int, double> Nearest(const DenseMatrix& x, size_t i,
-                               const DenseMatrix& centers) {
-  int best = 0;
-  double best_d = std::numeric_limits<double>::infinity();
-  for (size_t c = 0; c < centers.rows(); ++c) {
-    double d = la::RowSquaredDistance(x, i, centers, c);
-    if (d < best_d) {
-      best_d = d;
-      best = static_cast<int>(c);
-    }
-  }
-  return {best, best_d};
-}
-
-// Assignment step via the expanded form ‖x−c‖² = ‖x‖² − 2·x·c + ‖c‖²: one
-// blocked X·Cᵀ matmul per iteration instead of n·k row scans. `scores` and
-// `cnorm` are caller-owned so repeated iterations reuse their allocations.
-// Exact when a point coincides with its center: the three dot products are
-// computed in identical order, so the expansion cancels to 0.0 exactly.
-double AssignLabels(const DenseMatrix& x, const DenseMatrix& centers,
-                    const std::vector<double>& xnorm, ThreadPool* pool,
-                    DenseMatrix* scores, std::vector<double>* cnorm,
-                    std::vector<int>* labels) {
-  const size_t n = x.rows(), d = x.cols(), k = centers.rows();
-  cnorm->resize(k);
-  for (size_t c = 0; c < k; ++c) {
-    (*cnorm)[c] = la::Dot(centers.Row(c), centers.Row(c), d);
-  }
-  la::MultiplyTransposeBInto(x, centers, scores, pool);
-  double inertia = 0;
-  for (size_t i = 0; i < n; ++i) {
-    const double* srow = scores->Row(i);
-    int best = 0;
-    double best_d = std::numeric_limits<double>::infinity();
-    for (size_t c = 0; c < k; ++c) {
-      const double dd = xnorm[i] - 2.0 * srow[c] + (*cnorm)[c];
-      if (dd < best_d) {
-        best_d = dd;
-        best = static_cast<int>(c);
-      }
-    }
-    (*labels)[i] = best;
-    inertia += std::max(0.0, best_d);  // Expansion can round slightly below 0.
-  }
-  return inertia;
-}
-
-DenseMatrix InitCenters(const DenseMatrix& x, const KMeansConfig& config, Rng* rng) {
-  const size_t n = x.rows(), d = x.cols(), k = config.k;
-  DenseMatrix centers(k, d);
-  if (!config.kmeanspp_init) {
-    for (size_t c = 0; c < k; ++c) {
-      size_t i = rng->UniformInt(static_cast<uint64_t>(n));
-      std::copy(x.Row(i), x.Row(i) + d, centers.Row(c));
-    }
-    return centers;
-  }
-  // k-means++: first center uniform, then D^2-weighted sampling.
-  size_t first = rng->UniformInt(static_cast<uint64_t>(n));
-  std::copy(x.Row(first), x.Row(first) + d, centers.Row(0));
-  std::vector<double> dist2(n, std::numeric_limits<double>::infinity());
-  for (size_t c = 1; c < k; ++c) {
-    double total = 0;
-    for (size_t i = 0; i < n; ++i) {
-      double dd = la::RowSquaredDistance(x, i, centers, c - 1);
-      dist2[i] = std::min(dist2[i], dd);
-      total += dist2[i];
-    }
-    size_t chosen = 0;
-    if (total > 0) {
-      double r = rng->Uniform() * total;
-      double acc = 0;
-      for (size_t i = 0; i < n; ++i) {
-        acc += dist2[i];
-        if (r < acc) {
-          chosen = i;
-          break;
-        }
-      }
-    } else {
-      chosen = rng->UniformInt(static_cast<uint64_t>(n));
-    }
-    std::copy(x.Row(chosen), x.Row(chosen) + d, centers.Row(c));
-  }
-  return centers;
-}
-
-}  // namespace
 
 Result<std::vector<int>> KMeansModel::Predict(const DenseMatrix& x) const {
   if (x.cols() != centers.cols()) {
     return Status::InvalidArgument("k-means model dimensionality mismatch");
   }
   std::vector<int> out(x.rows());
-  for (size_t i = 0; i < x.rows(); ++i) out[i] = Nearest(x, i, centers).first;
+  for (size_t i = 0; i < x.rows(); ++i) {
+    double best_d = std::numeric_limits<double>::infinity();
+    for (size_t c = 0; c < centers.rows(); ++c) {
+      double d = la::RowSquaredDistance(x, i, centers, c);
+      if (d < best_d) {
+        best_d = d;
+        out[i] = static_cast<int>(c);
+      }
+    }
+  }
   return out;
 }
 
 Result<KMeansModel> TrainKMeans(const DenseMatrix& x, const KMeansConfig& config,
                                 ThreadPool* pool) {
-  const size_t n = x.rows(), d = x.cols(), k = config.k;
-  if (n == 0 || d == 0) return Status::InvalidArgument("k-means: empty data");
-  if (k == 0 || k > n) {
-    return Status::InvalidArgument("k-means: k must be in [1, n]");
-  }
-  DMML_TRACE_SPAN("ml.kmeans.train");
-  Rng rng(config.seed);
-  KMeansModel model;
-  model.centers = InitCenters(x, config, &rng);
-  model.labels.assign(n, 0);
-
-  // Per-iteration scratch, hoisted so the loop allocates nothing.
-  std::vector<double> xnorm(n);
-  for (size_t i = 0; i < n; ++i) xnorm[i] = la::Dot(x.Row(i), x.Row(i), d);
-  DenseMatrix scores;
-  std::vector<double> cnorm;
-
-  std::vector<size_t> counts(k);
-  double prev_inertia = std::numeric_limits<double>::infinity();
-  for (size_t iter = 0; iter < config.max_iters; ++iter) {
-    const uint64_t iter_start_us = obs::NowMicros();
-    // Assignment step.
-    double inertia =
-        AssignLabels(x, model.centers, xnorm, pool, &scores, &cnorm, &model.labels);
-    // Update step.
-    model.centers.Fill(0.0);
-    std::fill(counts.begin(), counts.end(), 0);
-    for (size_t i = 0; i < n; ++i) {
-      size_t c = static_cast<size_t>(model.labels[i]);
-      la::Axpy(1.0, x.Row(i), model.centers.Row(c), d);
-      counts[c]++;
-    }
-    for (size_t c = 0; c < k; ++c) {
-      if (counts[c] == 0) {
-        // Re-seed empty cluster at the point farthest from its center.
-        size_t far_i = 0;
-        double far_d = -1;
-        for (size_t i = 0; i < n; ++i) {
-          double dd = la::RowSquaredDistance(
-              x, i, model.centers, static_cast<size_t>(model.labels[i]));
-          if (dd > far_d) {
-            far_d = dd;
-            far_i = i;
-          }
-        }
-        std::copy(x.Row(far_i), x.Row(far_i) + d, model.centers.Row(c));
-        continue;
-      }
-      double inv = 1.0 / static_cast<double>(counts[c]);
-      for (size_t j = 0; j < d; ++j) model.centers.At(c, j) *= inv;
-    }
-
-    model.inertia = inertia;
-    model.inertia_history.push_back(inertia);
-    model.iters_run = iter + 1;
-    DMML_HISTOGRAM_OBSERVE("ml.kmeans.iter_us", obs::ExponentialBuckets(32, 4, 10),
-                           static_cast<double>(obs::NowMicros() - iter_start_us));
-    if (std::isfinite(prev_inertia) &&
-        std::fabs(prev_inertia - inertia) <=
-        config.tolerance * std::max(1.0, prev_inertia)) {
-      break;
-    }
-    prev_inertia = inertia;
-  }
-  // Final assignment against the last centers.
-  model.inertia =
-      AssignLabels(x, model.centers, xnorm, pool, &scores, &cnorm, &model.labels);
-  return model;
+  return TrainKMeansOnOperand(BorrowOperand(x), config, pool);
 }
 
 }  // namespace dmml::ml

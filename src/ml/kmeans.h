@@ -17,28 +17,39 @@ struct KMeansConfig {
   size_t k = 8;
   size_t max_iters = 100;
   double tolerance = 1e-6;  ///< Relative inertia-improvement stop criterion.
-  uint64_t seed = 42;
-  bool kmeanspp_init = true;  ///< Otherwise: uniform random point init.
+  uint64_t seed = 42;       ///< Seeds the k-means++ draws.
 };
 
 /// \brief A fitted k-means clustering.
 struct KMeansModel {
   la::DenseMatrix centers;   ///< k x d centroids.
-  std::vector<int> labels;   ///< Training assignment.
-  double inertia = 0.0;      ///< Final within-cluster SSE.
+  std::vector<int> labels;   ///< Nearest returned center of each row.
+  double inertia = 0.0;      ///< Within-cluster SSE of `labels`/`centers`.
   size_t iters_run = 0;
+  /// Entry t: the inertia of iteration t's assignment, against the centers
+  /// that iteration started from. Non-increasing up to rounding.
   std::vector<double> inertia_history;
 
   /// \brief Assigns each row of `x` to its nearest centroid.
   Result<std::vector<int>> Predict(const la::DenseMatrix& x) const;
 };
 
-/// \brief Runs Lloyd's algorithm on (n x d) data.
+/// \brief Runs Lloyd's algorithm on (n x d) data: the dense binding of
+/// ml::TrainKMeansOnOperand (ml/unified_trainers.h), which every
+/// representation shares.
 ///
-/// The assignment step runs through one X·Cᵀ matmul per iteration (blocked,
-/// parallel over the optional pool) with per-iteration buffers hoisted out of
-/// the loop. Empty clusters are re-seeded with the point farthest from its
-/// centroid.
+/// Contract:
+///  * Seeding is k-means++: a uniform first row, then rows drawn with
+///    probability proportional to their squared distance from the nearest
+///    center chosen so far (uniform if every distance is 0).
+///  * Each iteration assigns every row to its nearest center (one X·Cᵀ
+///    product, distances by the expansion ‖x‖² − 2·x·c + ‖c‖²), then moves
+///    each center to the mean of its rows. An empty cluster keeps its
+///    previous center.
+///  * Iteration stops after `max_iters`, or once the inertia improves by at
+///    most `tolerance` relative to the previous iteration's.
+///  * A final assignment against the returned centers sets `labels` and
+///    `inertia`, so both describe `centers` even when the budget ran out.
 Result<KMeansModel> TrainKMeans(const la::DenseMatrix& x, const KMeansConfig& config,
                                 ThreadPool* pool = nullptr);
 

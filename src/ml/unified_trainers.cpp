@@ -6,6 +6,7 @@
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "la/kernels.h"
@@ -13,6 +14,7 @@
 #include "laopt/executor.h"
 #include "laopt/expr.h"
 #include "laopt/profile.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/logging.h"
 #include "util/rng.h"
@@ -27,11 +29,24 @@ using laopt::Operand;
 
 namespace {
 
-// Non-owning Operand over a caller-held matrix (the trainer outlives every
-// executor run that reads it).
-Operand Borrow(const DenseMatrix& m) {
-  return Operand(
-      std::shared_ptr<const DenseMatrix>(std::shared_ptr<void>(), &m));
+const char* SolverName(GlmSolver solver) {
+  switch (solver) {
+    case GlmSolver::kBatchGd:
+      return "batch_gd";
+    case GlmSolver::kSgd:
+      return "sgd";
+    case GlmSolver::kMiniBatchSgd:
+      return "minibatch_sgd";
+    case GlmSolver::kHogwild:
+      return "hogwild";
+    case GlmSolver::kNormalEquations:
+      return "normal_equations";
+    case GlmSolver::kAdagrad:
+      return "adagrad";
+    case GlmSolver::kAdam:
+      return "adam";
+  }
+  return "unknown";
 }
 
 bool ExplainAnalyzeEnvEnabled() {
@@ -92,14 +107,52 @@ class ScopedTrainerProfile {
   obs::ScopedProfileRegistration registration_;
 };
 
+// Assigns every row to its nearest center by the expanded distance
+// ‖x‖² − 2·x·c + ‖c‖², given cross = X·Cᵀ (n x k) and row_norms = ‖x‖²
+// (n x 1). Returns the inertia, the summed squared distances.
+double AssignNearest(const DenseMatrix& cross, const DenseMatrix& row_norms,
+                     const DenseMatrix& centers,
+                     std::vector<double>* center_norms,
+                     std::vector<int>* labels) {
+  const size_t n = cross.rows(), k = centers.rows(), d = centers.cols();
+  for (size_t c = 0; c < k; ++c) {
+    (*center_norms)[c] = la::Dot(centers.Row(c), centers.Row(c), d);
+  }
+  double inertia = 0;
+  for (size_t i = 0; i < n; ++i) {
+    size_t best = 0;
+    double best_d = std::numeric_limits<double>::infinity();
+    for (size_t c = 0; c < k; ++c) {
+      const double dist =
+          row_norms.At(i, 0) - 2.0 * cross.At(i, c) + (*center_norms)[c];
+      if (dist < best_d) {
+        best_d = dist;
+        best = c;
+      }
+    }
+    (*labels)[i] = static_cast<int>(best);
+    inertia += std::max(0.0, best_d);  // The expansion can round below 0.
+  }
+  return inertia;
+}
+
 }  // namespace
 
-Operand BorrowOperand(const DenseMatrix& m) { return Borrow(m); }
+Operand BorrowOperand(const DenseMatrix& m) {
+  return Operand(
+      std::shared_ptr<const DenseMatrix>(std::shared_ptr<void>(), &m));
+}
 
 Result<GlmModel> TrainGlmOnOperand(const Operand& x, const DenseMatrix& y,
                                    const GlmConfig& config, ThreadPool* pool,
                                    laopt::PlanProfile* profile) {
   if (!x.bound()) return Status::InvalidArgument("GLM: unbound design operand");
+  if (config.solver != GlmSolver::kBatchGd) {
+    return Status::InvalidArgument(
+        std::string("GLM: the operand trainer runs batch gradient descent "
+                    "only, got solver ") +
+        SolverName(config.solver));
+  }
   const size_t n = x.rows(), d = x.cols();
   if (n == 0 || d == 0) return Status::InvalidArgument("GLM: empty data");
   if (y.rows() != n || y.cols() != 1) {
@@ -139,6 +192,7 @@ Result<GlmModel> TrainGlmOnOperand(const Operand& x, const DenseMatrix& y,
   double prev_loss = std::numeric_limits<double>::infinity();
 
   for (size_t epoch = 0; epoch < config.max_epochs; ++epoch) {
+    const uint64_t epoch_start_us = obs::NowMicros();
     DMML_ASSIGN_OR_RETURN(const DenseMatrix* scores,
                           executor.Run(scores_expr));
     double loss = 0;
@@ -175,8 +229,12 @@ Result<GlmModel> TrainGlmOnOperand(const Operand& x, const DenseMatrix& y,
     }
     if (config.fit_intercept) model.intercept -= lr * bias_grad * inv_n;
 
+    // Entry e is the loss at the weights epoch e started from: it falls out
+    // of the residual pass, so no second pass over X is needed.
     model.loss_history.push_back(loss);
     model.epochs_run = epoch + 1;
+    DMML_HISTOGRAM_OBSERVE("ml.glm.epoch_us", obs::ExponentialBuckets(32, 4, 10),
+                           static_cast<double>(obs::NowMicros() - epoch_start_us));
     if (std::isfinite(prev_loss) &&
         std::fabs(prev_loss - loss) <=
             config.tolerance * std::max(1.0, prev_loss)) {
@@ -202,16 +260,21 @@ Status RunNormalEquationsOnOperand(const Operand& x, const DenseMatrix& y,
   }
   const size_t da = config.fit_intercept ? d + 1 : d;
 
-  // One program per product of the augmented system. On a dense binding
-  // t(X)%*%X routes to the SYRK kernel, t(X)%*%y to the fused transpose-
-  // multiply and colSums to the column reduction — the exact kernels (and
-  // bit pattern) of the historical dense-only path. Sparse and compressed
-  // bindings swap in their native operators per laopt/executor.h.
+  // One program per product of the augmented system, plus the scores of
+  // the solution for its loss; all built up front, since the executor keys
+  // plans by node address. On a dense binding t(X)%*%X routes to the SYRK
+  // kernel, t(X)%*%y to the fused transpose-multiply and colSums to the
+  // column reduction. Other bindings swap in their native operators per
+  // laopt/executor.h.
+  auto w = std::make_shared<DenseMatrix>(d, 1);
   DMML_ASSIGN_OR_RETURN(ExprPtr xleaf, ExprNode::InputOperand(x, "X"));
-  DMML_ASSIGN_OR_RETURN(ExprPtr yleaf, ExprNode::InputOperand(Borrow(y), "y"));
+  DMML_ASSIGN_OR_RETURN(ExprPtr yleaf, ExprNode::InputOperand(BorrowOperand(y), "y"));
+  DMML_ASSIGN_OR_RETURN(ExprPtr wleaf, ExprNode::InputOperand(Operand(w), "w"));
   DMML_ASSIGN_OR_RETURN(ExprPtr xt, ExprNode::Transpose(xleaf));
   DMML_ASSIGN_OR_RETURN(ExprPtr gram_expr, ExprNode::MatMul(xt, xleaf));
   DMML_ASSIGN_OR_RETURN(ExprPtr xty_expr, ExprNode::MatMul(xt, yleaf));
+  DMML_ASSIGN_OR_RETURN(ExprPtr colsums_expr, ExprNode::ColSums(xleaf));
+  DMML_ASSIGN_OR_RETURN(ExprPtr scores_expr, ExprNode::MatMul(xleaf, wleaf));
   ScopedTrainerProfile prof(profile, "ml.glm.normal_equations");
   BufferedExecutor executor(pool);
   executor.set_profile(prof.active());
@@ -229,7 +292,6 @@ Status RunNormalEquationsOnOperand(const Operand& x, const DenseMatrix& y,
     for (size_t a = 0; a < d; ++a) xty.At(a, 0) = xty_data->At(a, 0);
   }
   if (config.fit_intercept) {
-    DMML_ASSIGN_OR_RETURN(ExprPtr colsums_expr, ExprNode::ColSums(xleaf));
     DMML_ASSIGN_OR_RETURN(const DenseMatrix* colsums,
                           executor.Run(colsums_expr));
     for (size_t j = 0; j < d; ++j) {
@@ -246,36 +308,23 @@ Status RunNormalEquationsOnOperand(const Operand& x, const DenseMatrix& y,
     }
   }
   DMML_ASSIGN_OR_RETURN(DenseMatrix sol, la::Solve(xtx, xty));
+  for (size_t j = 0; j < d; ++j) w->At(j, 0) = sol.At(j, 0);
   model->family = config.family;
-  model->weights = DenseMatrix(d, 1);
-  for (size_t j = 0; j < d; ++j) model->weights.At(j, 0) = sol.At(j, 0);
+  model->weights = *w;
   model->intercept = config.fit_intercept ? sol.At(d, 0) : 0.0;
   model->epochs_run = 1;
 
+  DMML_ASSIGN_OR_RETURN(const DenseMatrix* scores, executor.Run(scores_expr));
   double loss = 0;
-  if (x.repr() == laopt::Repr::kDense) {
-    DMML_ASSIGN_OR_RETURN(loss,
-                          GlmLoss(*x.dense(), y, model->weights,
-                                  model->intercept, config.family, config.l2));
-  } else {
-    // Non-dense X: score through the executor instead of row dot products.
-    DMML_ASSIGN_OR_RETURN(ExprPtr wleaf,
-                          ExprNode::InputOperand(Borrow(model->weights), "w"));
-    DMML_ASSIGN_OR_RETURN(ExprPtr scores_expr, ExprNode::MatMul(xleaf, wleaf));
-    DMML_ASSIGN_OR_RETURN(const DenseMatrix* scores,
-                          executor.Run(scores_expr));
-    for (size_t i = 0; i < n; ++i) {
-      double resid = scores->At(i, 0) + model->intercept - y.At(i, 0);
-      loss += 0.5 * resid * resid;
-    }
-    loss /= static_cast<double>(n);
-    if (config.l2 > 0) {
-      double w2 = 0;
-      for (size_t j = 0; j < d; ++j) {
-        w2 += model->weights.At(j, 0) * model->weights.At(j, 0);
-      }
-      loss += 0.5 * config.l2 * w2;
-    }
+  for (size_t i = 0; i < n; ++i) {
+    double resid = scores->At(i, 0) + model->intercept - y.At(i, 0);
+    loss += 0.5 * resid * resid;
+  }
+  loss /= static_cast<double>(n);
+  if (config.l2 > 0) {
+    double w2 = 0;
+    for (size_t j = 0; j < d; ++j) w2 += w->At(j, 0) * w->At(j, 0);
+    loss += 0.5 * config.l2 * w2;
   }
   model->loss_history.push_back(loss);
   return Status::OK();
@@ -289,81 +338,98 @@ Result<KMeansModel> TrainKMeansOnOperand(const Operand& x,
     return Status::InvalidArgument("k-means: unbound design operand");
   }
   const size_t n = x.rows(), d = x.cols(), k = config.k;
-  if (k == 0 || k > n) return Status::InvalidArgument("k must be in [1, n]");
+  if (n == 0 || d == 0) return Status::InvalidArgument("k-means: empty data");
+  if (k == 0 || k > n) {
+    return Status::InvalidArgument("k-means: k must be in [1, n]");
+  }
   DMML_TRACE_SPAN("ml.kmeans.train_operand");
 
-  DMML_ASSIGN_OR_RETURN(ExprPtr xleaf, ExprNode::InputOperand(x, "X"));
-  DMML_ASSIGN_OR_RETURN(ExprPtr xt, ExprNode::Transpose(xleaf));
-  ScopedTrainerProfile prof(profile, "ml.kmeans.train_operand");
-  BufferedExecutor executor(pool);
-  executor.set_profile(prof.active());
-
-  // Initial centers: k sampled rows, extracted via a one-hot
-  // transpose-multiply so no representation needs decompressing.
-  KMeansModel model;
-  {
-    Rng rng(config.seed);
-    auto onehots = std::make_shared<DenseMatrix>(n, k);
-    for (size_t c = 0; c < k; ++c) {
-      onehots->At(rng.UniformInt(static_cast<uint64_t>(n)), c) = 1.0;
-    }
-    DMML_ASSIGN_OR_RETURN(ExprPtr oleaf,
-                          ExprNode::InputOperand(Operand(onehots), "onehots"));
-    DMML_ASSIGN_OR_RETURN(ExprPtr cols_expr, ExprNode::MatMul(xt, oleaf));
-    DMML_ASSIGN_OR_RETURN(const DenseMatrix* cols, executor.Run(cols_expr));
-    model.centers = la::Transpose(*cols);  // k x d.
-  }
-  model.labels.assign(n, 0);
-
-  // rowSums(X ⊙ X): the executor fuses this into the representation's
-  // row-squared-norms kernel. Copied out, since the slot buffer is only
-  // stable until the next Run().
-  DenseMatrix row_norms;
-  {
-    DMML_ASSIGN_OR_RETURN(ExprPtr xx, ExprNode::ElemMul(xleaf, xleaf));
-    DMML_ASSIGN_OR_RETURN(ExprPtr norms_expr, ExprNode::RowSums(xx));
-    DMML_ASSIGN_OR_RETURN(const DenseMatrix* norms, executor.Run(norms_expr));
-    row_norms = *norms;
-  }
-
-  // Per-iteration programs over payloads mutated in place: the assignment's
-  // cross products X·Cᵀ and the update's Xᵀ·A.
-  auto centers = std::make_shared<DenseMatrix>();
+  // Every program, built up front: the executor keys prepared plans and
+  // slots by node address, so no node may be freed while it runs. Payloads
+  // are mutated in place between runs: a one-hot row selector e_i, the
+  // newest seed center c, the centers C and the assignment indicator A.
+  auto pick = std::make_shared<DenseMatrix>(n, 1);
+  auto newest = std::make_shared<DenseMatrix>(d, 1);
+  auto centers = std::make_shared<DenseMatrix>(k, d);
   auto assign = std::make_shared<DenseMatrix>(n, k);
-  *centers = model.centers;
+  DMML_ASSIGN_OR_RETURN(ExprPtr xleaf, ExprNode::InputOperand(x, "X"));
+  DMML_ASSIGN_OR_RETURN(ExprPtr pleaf,
+                        ExprNode::InputOperand(Operand(pick), "pick"));
+  DMML_ASSIGN_OR_RETURN(ExprPtr nleaf,
+                        ExprNode::InputOperand(Operand(newest), "newest"));
   DMML_ASSIGN_OR_RETURN(ExprPtr cleaf,
                         ExprNode::InputOperand(Operand(centers), "centers"));
   DMML_ASSIGN_OR_RETURN(ExprPtr aleaf,
                         ExprNode::InputOperand(Operand(assign), "assign"));
+  DMML_ASSIGN_OR_RETURN(ExprPtr xt, ExprNode::Transpose(xleaf));
+  DMML_ASSIGN_OR_RETURN(ExprPtr xx, ExprNode::ElemMul(xleaf, xleaf));
+  // rowSums(X ⊙ X) fuses into the representation's row-squared-norms kernel.
+  DMML_ASSIGN_OR_RETURN(ExprPtr norms_expr, ExprNode::RowSums(xx));
+  DMML_ASSIGN_OR_RETURN(ExprPtr row_expr, ExprNode::MatMul(xt, pleaf));
+  DMML_ASSIGN_OR_RETURN(ExprPtr proj_expr, ExprNode::MatMul(xleaf, nleaf));
   DMML_ASSIGN_OR_RETURN(ExprPtr ct, ExprNode::Transpose(cleaf));
   DMML_ASSIGN_OR_RETURN(ExprPtr cross_expr, ExprNode::MatMul(xleaf, ct));
   DMML_ASSIGN_OR_RETURN(ExprPtr sums_expr, ExprNode::MatMul(xt, aleaf));
+  ScopedTrainerProfile prof(profile, "ml.kmeans.train_operand");
+  BufferedExecutor executor(pool);
+  executor.set_profile(prof.active());
 
+  // Copied out, since a slot buffer is only stable until the next Run().
+  DMML_ASSIGN_OR_RETURN(const DenseMatrix* norms, executor.Run(norms_expr));
+  const DenseMatrix row_norms = *norms;
+
+  // k-means++ seeding: the first center is a uniform row, each later one a
+  // row drawn with probability proportional to its squared distance from
+  // the nearest center so far. Both products run through the executor, so
+  // no binding densifies: Xᵀ·e_i extracts row i, and X·c gives the distance
+  // expansion's cross term for the newest center c.
+  Rng rng(config.seed);
+  std::vector<double> dist2(n, std::numeric_limits<double>::infinity());
+  size_t chosen = rng.UniformInt(static_cast<uint64_t>(n));
+  for (size_t c = 0;; ++c) {
+    pick->At(chosen, 0) = 1.0;
+    DMML_ASSIGN_OR_RETURN(const DenseMatrix* row, executor.Run(row_expr));
+    pick->At(chosen, 0) = 0.0;
+    std::copy(row->data(), row->data() + d, centers->Row(c));
+    if (c + 1 == k) break;
+
+    std::copy(row->data(), row->data() + d, newest->data());
+    DMML_ASSIGN_OR_RETURN(const DenseMatrix* proj, executor.Run(proj_expr));
+    const double norm = la::Dot(newest->data(), newest->data(), d);
+    double total = 0;
+    for (size_t i = 0; i < n; ++i) {
+      const double dd =
+          std::max(0.0, row_norms.At(i, 0) - 2.0 * proj->At(i, 0) + norm);
+      dist2[i] = std::min(dist2[i], dd);
+      total += dist2[i];
+    }
+    chosen = 0;
+    if (total > 0) {
+      const double r = rng.Uniform() * total;
+      double acc = 0;
+      for (size_t i = 0; i < n; ++i) {
+        acc += dist2[i];
+        if (r < acc) {
+          chosen = i;
+          break;
+        }
+      }
+    } else {
+      chosen = rng.UniformInt(static_cast<uint64_t>(n));
+    }
+  }
+
+  // Lloyd's iterations: X·Cᵀ for the assignment, Xᵀ·A for the update.
+  KMeansModel model;
+  model.labels.assign(n, 0);
   std::vector<double> center_norms(k);
   std::vector<size_t> counts(k);
   double prev_inertia = std::numeric_limits<double>::infinity();
   for (size_t iter = 0; iter < config.max_iters; ++iter) {
+    const uint64_t iter_start_us = obs::NowMicros();
     DMML_ASSIGN_OR_RETURN(const DenseMatrix* cross, executor.Run(cross_expr));
-
-    for (size_t c = 0; c < k; ++c) {
-      center_norms[c] = la::Dot(centers->Row(c), centers->Row(c), d);
-    }
-
-    double inertia = 0;
-    for (size_t i = 0; i < n; ++i) {
-      size_t best = 0;
-      double best_d = std::numeric_limits<double>::infinity();
-      for (size_t c = 0; c < k; ++c) {
-        double dist =
-            row_norms.At(i, 0) - 2.0 * cross->At(i, c) + center_norms[c];
-        if (dist < best_d) {
-          best_d = dist;
-          best = c;
-        }
-      }
-      model.labels[i] = static_cast<int>(best);
-      inertia += std::max(0.0, best_d);
-    }
+    const double inertia =
+        AssignNearest(*cross, row_norms, *centers, &center_norms, &model.labels);
 
     assign->Fill(0.0);
     std::fill(counts.begin(), counts.end(), 0);
@@ -373,16 +439,17 @@ Result<KMeansModel> TrainKMeansOnOperand(const Operand& x,
     }
     DMML_ASSIGN_OR_RETURN(const DenseMatrix* sums, executor.Run(sums_expr));
     for (size_t c = 0; c < k; ++c) {
-      if (counts[c] == 0) continue;  // Keep the stale center.
+      if (counts[c] == 0) continue;  // An empty cluster keeps its center.
       double inv = 1.0 / static_cast<double>(counts[c]);
       for (size_t j = 0; j < d; ++j) {
         centers->At(c, j) = sums->At(j, c) * inv;
       }
     }
 
-    model.inertia = inertia;
     model.inertia_history.push_back(inertia);
     model.iters_run = iter + 1;
+    DMML_HISTOGRAM_OBSERVE("ml.kmeans.iter_us", obs::ExponentialBuckets(32, 4, 10),
+                           static_cast<double>(obs::NowMicros() - iter_start_us));
     if (std::isfinite(prev_inertia) &&
         std::fabs(prev_inertia - inertia) <=
             config.tolerance * std::max(1.0, prev_inertia)) {
@@ -390,6 +457,12 @@ Result<KMeansModel> TrainKMeansOnOperand(const Operand& x,
     }
     prev_inertia = inertia;
   }
+
+  // Final assignment against the centers returned, so labels and inertia
+  // describe them even when the iteration budget ran out mid-descent.
+  DMML_ASSIGN_OR_RETURN(const DenseMatrix* cross, executor.Run(cross_expr));
+  model.inertia =
+      AssignNearest(*cross, row_norms, *centers, &center_norms, &model.labels);
   model.centers = *centers;
   return model;
 }

@@ -3,12 +3,14 @@
 
 #include <cmath>
 
-#include "cla/compressed_glm.h"
+#include <memory>
+
+#include "cla/compressed_matrix.h"
 #include "data/generators.h"
-#include "factorized/factorized_glm.h"
 #include "la/kernels.h"
 #include "ml/als.h"
 #include "ml/metrics.h"
+#include "ml/unified_trainers.h"
 
 namespace dmml {
 namespace {
@@ -133,27 +135,13 @@ TEST(AlsTest, Validation) {
 }
 
 // --------------------------------------------------------------------------
-// Compressed GLM
+// Compressed GLM (the operand trainer over a CLA binding; parity with the
+// dense binding is in laopt_repr_test)
 // --------------------------------------------------------------------------
 
-TEST(CompressedGlmTest, MatchesDenseMatrixFormTraining) {
-  auto x = data::LowCardinalityMatrix(400, 6, 8, false, 5);
-  Rng rng(6);
-  DenseMatrix w_true(6, 1);
-  for (size_t j = 0; j < 6; ++j) w_true.At(j, 0) = rng.Normal();
-  DenseMatrix y = la::Gemv(x, w_true);
-
-  auto cm = cla::CompressedMatrix::Compress(x);
-  ml::GlmConfig config;
-  config.learning_rate = 1e-4;  // Low-card values are large; keep steps stable.
-  config.max_epochs = 50;
-  config.tolerance = 0;
-  auto compressed = cla::TrainCompressedGlm(cm, y, config);
-  ASSERT_TRUE(compressed.ok());
-  auto dense = factorized::TrainDenseGlmMatrixForm(x, y, config);
-  ASSERT_TRUE(dense.ok());
-  EXPECT_TRUE(compressed->weights.ApproxEquals(dense->weights, 1e-8));
-  EXPECT_NEAR(compressed->intercept, dense->intercept, 1e-8);
+laopt::Operand CompressedOperand(const DenseMatrix& x) {
+  return laopt::Operand(std::make_shared<const cla::CompressedMatrix>(
+      cla::CompressedMatrix::Compress(x)));
 }
 
 TEST(CompressedGlmTest, LogisticFamilyOnCompressedData) {
@@ -163,12 +151,11 @@ TEST(CompressedGlmTest, LogisticFamilyOnCompressedData) {
   for (size_t e = 0; e < x.size(); ++e) {
     x.data()[e] = std::round(ds.x.data()[e] * 2.0) / 2.0;
   }
-  auto cm = cla::CompressedMatrix::Compress(x);
   ml::GlmConfig config;
   config.family = ml::GlmFamily::kBinomial;
   config.learning_rate = 0.5;
   config.max_epochs = 200;
-  auto model = cla::TrainCompressedGlm(cm, ds.y, config);
+  auto model = ml::TrainGlmOnOperand(CompressedOperand(x), ds.y, config);
   ASSERT_TRUE(model.ok());
   auto labels = model->PredictLabels(x);
   ASSERT_TRUE(labels.ok());
@@ -176,14 +163,14 @@ TEST(CompressedGlmTest, LogisticFamilyOnCompressedData) {
 }
 
 TEST(CompressedGlmTest, Validation) {
-  auto cm = cla::CompressedMatrix::Compress(data::GaussianMatrix(10, 2, 8));
+  const laopt::Operand cm = CompressedOperand(data::GaussianMatrix(10, 2, 8));
   ml::GlmConfig config;
-  EXPECT_FALSE(cla::TrainCompressedGlm(cm, DenseMatrix(5, 1), config).ok());
+  EXPECT_FALSE(ml::TrainGlmOnOperand(cm, DenseMatrix(5, 1), config).ok());
   config.learning_rate = 0;
-  EXPECT_FALSE(cla::TrainCompressedGlm(cm, DenseMatrix(10, 1), config).ok());
+  EXPECT_FALSE(ml::TrainGlmOnOperand(cm, DenseMatrix(10, 1), config).ok());
   config = ml::GlmConfig{};
   config.family = ml::GlmFamily::kBinomial;
-  EXPECT_FALSE(cla::TrainCompressedGlm(cm, DenseMatrix(10, 1, 0.3), config).ok());
+  EXPECT_FALSE(ml::TrainGlmOnOperand(cm, DenseMatrix(10, 1, 0.3), config).ok());
 }
 
 }  // namespace

@@ -1,16 +1,18 @@
 // Tests for the CLA extensions: matrix-matrix ops on compressed data,
-// compressed row norms, the sampling planner and compressed k-means.
+// compressed row norms, the sampling planner and k-means over a compressed
+// binding.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
 #include <map>
+#include <memory>
 
-#include "cla/compressed_kmeans.h"
 #include "cla/compressed_matrix.h"
 #include "data/generators.h"
 #include "la/kernels.h"
 #include "ml/metrics.h"
+#include "ml/unified_trainers.h"
 
 namespace dmml::cla {
 namespace {
@@ -131,6 +133,14 @@ TEST(ClaSamplingTest, SampleLargerThanDataFallsBackToExact) {
 // Compressed k-means
 // --------------------------------------------------------------------------
 
+// k-means through the operand trainer on a non-owning compressed binding.
+Result<ml::KMeansModel> KMeansOnCompressed(const CompressedMatrix& cm,
+                                           const ml::KMeansConfig& config) {
+  return ml::TrainKMeansOnOperand(
+      laopt::Operand(std::shared_ptr<const CompressedMatrix>(std::shared_ptr<void>(), &cm)),
+      config);
+}
+
 TEST(CompressedKMeansTest, RecoversBlobsThroughCompression) {
   auto blobs = data::MakeBlobs(600, 4, 3, 25.0, 0.5, 14);
   // Quantize to make the data compressible while keeping cluster structure.
@@ -145,7 +155,7 @@ TEST(CompressedKMeansTest, RecoversBlobsThroughCompression) {
   config.k = 3;
   config.max_iters = 50;
   config.seed = 15;
-  auto model = TrainCompressedKMeans(cm, config);
+  auto model = KMeansOnCompressed(cm, config);
   ASSERT_TRUE(model.ok());
   // Clusters must be nearly pure.
   for (size_t c = 0; c < 3; ++c) {
@@ -171,7 +181,7 @@ TEST(CompressedKMeansTest, MatchesUncompressedDistanceSemantics) {
   config.k = 4;
   config.max_iters = 30;
   config.seed = 17;
-  auto model = TrainCompressedKMeans(cm, config);
+  auto model = KMeansOnCompressed(cm, config);
   ASSERT_TRUE(model.ok());
   // Labels must be argmin distances against the returned centers.
   for (size_t i = 0; i < m.rows(); ++i) {
@@ -192,7 +202,7 @@ TEST(CompressedKMeansTest, InertiaDecreases) {
   auto cm = CompressedMatrix::Compress(MixedData(400, 18));
   ml::KMeansConfig config;
   config.k = 3;
-  auto model = TrainCompressedKMeans(cm, config);
+  auto model = KMeansOnCompressed(cm, config);
   ASSERT_TRUE(model.ok());
   for (size_t i = 1; i < model->inertia_history.size(); ++i) {
     EXPECT_LE(model->inertia_history[i], model->inertia_history[i - 1] + 1e-6);
@@ -203,9 +213,9 @@ TEST(CompressedKMeansTest, InvalidK) {
   auto cm = CompressedMatrix::Compress(MixedData(50, 19));
   ml::KMeansConfig config;
   config.k = 0;
-  EXPECT_FALSE(TrainCompressedKMeans(cm, config).ok());
+  EXPECT_FALSE(KMeansOnCompressed(cm, config).ok());
   config.k = 51;
-  EXPECT_FALSE(TrainCompressedKMeans(cm, config).ok());
+  EXPECT_FALSE(KMeansOnCompressed(cm, config).ok());
 }
 
 }  // namespace

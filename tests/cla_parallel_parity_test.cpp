@@ -7,13 +7,13 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <memory>
 #include <vector>
 
-#include "cla/compressed_glm.h"
-#include "cla/compressed_kmeans.h"
 #include "cla/compressed_matrix.h"
 #include "data/generators.h"
 #include "la/kernels.h"
+#include "ml/unified_trainers.h"
 #include "obs/metrics.h"
 #include "util/thread_pool.h"
 
@@ -325,8 +325,15 @@ TEST(ClaIntoTest, RepeatedIntoCallsReuseBuffers) {
   EXPECT_EQ(Counter("cla.inplace.reuses"), reuses + 5);
 }
 
+// A non-owning operand over a compressed matrix the test holds.
+laopt::Operand Borrow(const CompressedMatrix& cm) {
+  return laopt::Operand(
+      std::shared_ptr<const CompressedMatrix>(std::shared_ptr<void>(), &cm));
+}
+
 // Steady-state training must not allocate: the number of buffer allocations
-// in compressed GLM is independent of the epoch count.
+// of the operand GLM trainer on a compressed binding is independent of the
+// epoch count.
 TEST(ClaIntoTest, CompressedGlmEpochsAllocationFree) {
   auto m = ParityData(500, 81);
   auto cm = CompressedMatrix::Compress(m, CocodingOptions());
@@ -341,7 +348,7 @@ TEST(ClaIntoTest, CompressedGlmEpochsAllocationFree) {
   auto allocs_for = [&](size_t epochs) {
     config.max_epochs = epochs;
     uint64_t before = Counter("cla.inplace.allocs");
-    auto model = TrainCompressedGlm(cm, y, config);
+    auto model = ml::TrainGlmOnOperand(Borrow(cm), y, config);
     EXPECT_TRUE(model.ok());
     EXPECT_EQ(model->epochs_run, epochs);
     return Counter("cla.inplace.allocs") - before;
@@ -365,7 +372,7 @@ TEST(ClaIntoTest, CompressedKMeansItersAllocationFree) {
   auto allocs_for = [&](size_t iters) {
     config.max_iters = iters;
     uint64_t before = Counter("cla.inplace.allocs");
-    auto model = TrainCompressedKMeans(cm, config);
+    auto model = ml::TrainKMeansOnOperand(Borrow(cm), config);
     EXPECT_TRUE(model.ok());
     return Counter("cla.inplace.allocs") - before;
   };
@@ -392,8 +399,8 @@ TEST(ClaParallelTrainingTest, PooledGlmMatchesSerial) {
   config.tolerance = 0.0;
 
   ThreadPool pool(4);
-  auto serial = TrainCompressedGlm(cm, y, config);
-  auto pooled = TrainCompressedGlm(cm, y, config, &pool);
+  auto serial = ml::TrainGlmOnOperand(Borrow(cm), y, config);
+  auto pooled = ml::TrainGlmOnOperand(Borrow(cm), y, config, &pool);
   ASSERT_TRUE(serial.ok() && pooled.ok());
   ExpectMatricesNear(serial->weights, pooled->weights, 1e-9);
   ASSERT_EQ(serial->loss_history.size(), pooled->loss_history.size());
@@ -413,8 +420,8 @@ TEST(ClaParallelTrainingTest, PooledKMeansMatchesSerial) {
   config.seed = 94;
 
   ThreadPool pool(4);
-  auto serial = TrainCompressedKMeans(cm, config);
-  auto pooled = TrainCompressedKMeans(cm, config, &pool);
+  auto serial = ml::TrainKMeansOnOperand(Borrow(cm), config);
+  auto pooled = ml::TrainKMeansOnOperand(Borrow(cm), config, &pool);
   ASSERT_TRUE(serial.ok() && pooled.ok());
   EXPECT_EQ(serial->labels, pooled->labels);
   ExpectMatricesNear(serial->centers, pooled->centers, 1e-9);

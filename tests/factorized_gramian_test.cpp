@@ -1,13 +1,15 @@
 // Tests for the factorized Gramian (Orion cofactor computation) and the
-// closed-form normal-equation solver over normalized data.
+// closed-form normal equations over a factorized operand, which take XᵀX
+// and colSums(X) from it.
 #include <gtest/gtest.h>
 
 #include "data/generators.h"
-#include "factorized/factorized_glm.h"
 #include "factorized/factorized_gramian.h"
+#include "factorized/factorized_operand.h"
 #include "la/kernels.h"
 #include "ml/glm.h"
 #include "ml/metrics.h"
+#include "ml/unified_trainers.h"
 
 namespace dmml::factorized {
 namespace {
@@ -80,6 +82,20 @@ TEST(FactorizedColumnSumsTest, MatchesMaterialized) {
   EXPECT_TRUE(sums.ApproxEquals(expected, 1e-8));
 }
 
+// Normal equations over the factorized binding of `nm`.
+Result<ml::GlmModel> FactorizedNormalEquations(const NormalizedMatrix& nm,
+                                               const DenseMatrix& y, double l2,
+                                               bool fit_intercept = true) {
+  ml::GlmConfig config;
+  config.solver = ml::GlmSolver::kNormalEquations;
+  config.l2 = l2;
+  config.fit_intercept = fit_intercept;
+  ml::GlmModel model;
+  DMML_RETURN_IF_ERROR(ml::RunNormalEquationsOnOperand(MakeFactorizedOperand(nm), y,
+                                                       config, nullptr, &model));
+  return model;
+}
+
 TEST(FactorizedNormalEquationsTest, MatchesDenseNormalEquations) {
   data::StarSchemaOptions options;
   options.ns = 400;
@@ -90,7 +106,7 @@ TEST(FactorizedNormalEquationsTest, MatchesDenseNormalEquations) {
   auto ds = data::MakeStarSchema(options, 7);
   auto nm = *NormalizedMatrix::Make(ds.xs, {{ds.xr, ds.fk}});
 
-  auto fact = TrainFactorizedNormalEquations(nm, ds.y, /*l2=*/0.0);
+  auto fact = FactorizedNormalEquations(nm, ds.y, /*l2=*/0.0);
   ASSERT_TRUE(fact.ok());
 
   ml::GlmConfig config;
@@ -108,7 +124,7 @@ TEST(FactorizedNormalEquationsTest, RidgeMatchesDenseRidge) {
   Rng rng(9);
   for (size_t i = 0; i < y.rows(); ++i) y.At(i, 0) = rng.Normal();
 
-  auto fact = TrainFactorizedNormalEquations(nm, y, /*l2=*/0.5);
+  auto fact = FactorizedNormalEquations(nm, y, /*l2=*/0.5);
   ASSERT_TRUE(fact.ok());
   ml::GlmConfig config;
   config.solver = ml::GlmSolver::kNormalEquations;
@@ -121,7 +137,7 @@ TEST(FactorizedNormalEquationsTest, RidgeMatchesDenseRidge) {
 TEST(FactorizedNormalEquationsTest, WithoutIntercept) {
   auto nm = MakeNm(150, 10, 2, 4, 10);
   DenseMatrix y(nm.rows(), 1, 1.0);
-  auto fact = TrainFactorizedNormalEquations(nm, y, 0.0, /*fit_intercept=*/false);
+  auto fact = FactorizedNormalEquations(nm, y, 0.0, /*fit_intercept=*/false);
   ASSERT_TRUE(fact.ok());
   EXPECT_EQ(fact->intercept, 0.0);
   ml::GlmConfig config;
@@ -141,7 +157,7 @@ TEST(FactorizedNormalEquationsTest, SolvesTheRegressionTask) {
   options.noise_sigma = 0.05;
   auto ds = data::MakeStarSchema(options, 11);
   auto nm = *NormalizedMatrix::Make(ds.xs, {{ds.xr, ds.fk}});
-  auto model = TrainFactorizedNormalEquations(nm, ds.y, 0.0);
+  auto model = FactorizedNormalEquations(nm, ds.y, 0.0);
   ASSERT_TRUE(model.ok());
   auto pred = la::Gemv(nm.Materialize(), model->weights);
   for (size_t i = 0; i < pred.rows(); ++i) pred.At(i, 0) += model->intercept;
@@ -150,7 +166,7 @@ TEST(FactorizedNormalEquationsTest, SolvesTheRegressionTask) {
 
 TEST(FactorizedNormalEquationsTest, Validation) {
   auto nm = MakeNm(50, 5, 1, 2, 12);
-  EXPECT_FALSE(TrainFactorizedNormalEquations(nm, DenseMatrix(3, 1)).ok());
+  EXPECT_FALSE(FactorizedNormalEquations(nm, DenseMatrix(3, 1), 0.0).ok());
 }
 
 // Property sweep: factorized gramian == materialized gramian across shapes.

@@ -1,15 +1,18 @@
 // Tests for factorized learning over normalized data: the factorized
-// operators agree exactly with their materialized counterparts, GLM and
-// k-means training agree across both paths, and the redundancy accounting
-// behaves as the tuple/feature ratios change.
+// operators agree exactly with their materialized counterparts, the
+// operand trainers learn through a factorized binding, and the redundancy
+// accounting behaves as the tuple/feature ratios change. Parity of the
+// trainers with the dense binding is in laopt_repr_test.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "data/generators.h"
-#include "factorized/factorized_glm.h"
-#include "factorized/factorized_kmeans.h"
+#include "factorized/factorized_operand.h"
 #include "factorized/normalized_matrix.h"
 #include "la/kernels.h"
 #include "ml/metrics.h"
+#include "ml/unified_trainers.h"
 
 namespace dmml::factorized {
 namespace {
@@ -137,34 +140,6 @@ TEST(NormalizedMatrixTest, RedundancyRatioGrowsWithTupleRatio) {
 // Factorized GLM
 // --------------------------------------------------------------------------
 
-ml::GlmConfig RegressionConfig() {
-  ml::GlmConfig config;
-  config.family = ml::GlmFamily::kGaussian;
-  config.learning_rate = 0.05;
-  config.max_epochs = 150;
-  config.tolerance = 1e-12;
-  return config;
-}
-
-TEST(FactorizedGlmTest, MatchesMaterializedExactly) {
-  data::StarSchemaOptions options;
-  options.ns = 300;
-  options.nr = 20;
-  options.ds = 2;
-  options.dr = 8;
-  auto ds = data::MakeStarSchema(options, 10);
-  auto nm = *NormalizedMatrix::Make(ds.xs, {{ds.xr, ds.fk}});
-
-  auto config = RegressionConfig();
-  auto fact = TrainFactorizedGlm(nm, ds.y, config);
-  auto mat = TrainMaterializedGlm(nm, ds.y, config);
-  ASSERT_TRUE(fact.ok());
-  ASSERT_TRUE(mat.ok());
-  EXPECT_EQ(fact->epochs_run, mat->epochs_run);
-  EXPECT_TRUE(fact->weights.ApproxEquals(mat->weights, 1e-8));
-  EXPECT_NEAR(fact->intercept, mat->intercept, 1e-8);
-}
-
 TEST(FactorizedGlmTest, LearnsTheRegressionTask) {
   data::StarSchemaOptions options;
   options.ns = 500;
@@ -174,9 +149,11 @@ TEST(FactorizedGlmTest, LearnsTheRegressionTask) {
   options.noise_sigma = 0.05;
   auto ds = data::MakeStarSchema(options, 11);
   auto nm = *NormalizedMatrix::Make(ds.xs, {{ds.xr, ds.fk}});
-  auto config = RegressionConfig();
+  ml::GlmConfig config;
+  config.learning_rate = 0.05;
   config.max_epochs = 800;
-  auto model = TrainFactorizedGlm(nm, ds.y, config);
+  config.tolerance = 1e-12;
+  auto model = ml::TrainGlmOnOperand(MakeFactorizedOperand(nm), ds.y, config);
   ASSERT_TRUE(model.ok());
   // Predictions on the materialized matrix should be close to labels.
   auto pred = la::Gemv(nm.Materialize(), model->weights);
@@ -184,90 +161,28 @@ TEST(FactorizedGlmTest, LearnsTheRegressionTask) {
   EXPECT_GT(*ml::R2(ds.y, pred), 0.95);
 }
 
-TEST(FactorizedGlmTest, LogisticFamilyAgrees) {
-  data::StarSchemaOptions options;
-  options.ns = 250;
-  options.nr = 15;
-  options.ds = 2;
-  options.dr = 5;
-  options.classification = true;
-  auto ds = data::MakeStarSchema(options, 12);
-  auto nm = *NormalizedMatrix::Make(ds.xs, {{ds.xr, ds.fk}});
-
-  ml::GlmConfig config;
-  config.family = ml::GlmFamily::kBinomial;
-  config.learning_rate = 0.3;
-  config.max_epochs = 120;
-  auto fact = TrainFactorizedGlm(nm, ds.y, config);
-  auto mat = TrainMaterializedGlm(nm, ds.y, config);
-  ASSERT_TRUE(fact.ok());
-  ASSERT_TRUE(mat.ok());
-  EXPECT_TRUE(fact->weights.ApproxEquals(mat->weights, 1e-7));
-}
-
-TEST(FactorizedGlmTest, LossHistoriesAgree) {
-  auto nm = SmallNormalized(13);
-  DenseMatrix y(nm.rows(), 1);
-  for (size_t i = 0; i < y.rows(); ++i) y.At(i, 0) = static_cast<double>(i % 3);
-  auto config = RegressionConfig();
-  config.max_epochs = 30;
-  auto fact = TrainFactorizedGlm(nm, y, config);
-  auto mat = TrainMaterializedGlm(nm, y, config);
-  ASSERT_TRUE(fact.ok());
-  ASSERT_TRUE(mat.ok());
-  ASSERT_EQ(fact->loss_history.size(), mat->loss_history.size());
-  for (size_t e = 0; e < fact->loss_history.size(); ++e) {
-    EXPECT_NEAR(fact->loss_history[e], mat->loss_history[e], 1e-9);
-  }
-}
-
 TEST(FactorizedGlmTest, Validation) {
-  auto nm = SmallNormalized(14);
+  const laopt::Operand x = MakeFactorizedOperand(SmallNormalized(14));
   ml::GlmConfig config;
-  EXPECT_FALSE(TrainFactorizedGlm(nm, DenseMatrix(3, 1), config).ok());
+  EXPECT_FALSE(ml::TrainGlmOnOperand(x, DenseMatrix(3, 1), config).ok());
   config.family = ml::GlmFamily::kBinomial;
-  DenseMatrix bad_labels(nm.rows(), 1, 0.5);
-  EXPECT_FALSE(TrainFactorizedGlm(nm, bad_labels, config).ok());
+  DenseMatrix bad_labels(x.rows(), 1, 0.5);
+  EXPECT_FALSE(ml::TrainGlmOnOperand(x, bad_labels, config).ok());
   config.family = ml::GlmFamily::kGaussian;
   config.learning_rate = 0;
-  EXPECT_FALSE(TrainFactorizedGlm(nm, DenseMatrix(nm.rows(), 1), config).ok());
+  EXPECT_FALSE(ml::TrainGlmOnOperand(x, DenseMatrix(x.rows(), 1), config).ok());
 }
 
 // --------------------------------------------------------------------------
 // Factorized k-means
 // --------------------------------------------------------------------------
 
-TEST(FactorizedKMeansTest, MatchesMaterializedInertiaScale) {
-  data::StarSchemaOptions options;
-  options.ns = 400;
-  options.nr = 12;
-  options.ds = 2;
-  options.dr = 6;
-  auto ds = data::MakeStarSchema(options, 15);
-  auto nm = *NormalizedMatrix::Make(ds.xs, {{ds.xr, ds.fk}});
-
-  ml::KMeansConfig config;
-  config.k = 4;
-  config.max_iters = 60;
-  config.seed = 5;
-  config.kmeanspp_init = false;
-  auto fact = TrainFactorizedKMeans(nm, config);
-  auto mat = TrainMaterializedKMeans(nm, config);
-  ASSERT_TRUE(fact.ok());
-  ASSERT_TRUE(mat.ok());
-  // Different init paths may settle in different local optima; both must be
-  // valid clusterings of the same data with comparable quality.
-  EXPECT_GT(fact->inertia, 0);
-  EXPECT_LT(fact->inertia, mat->inertia * 2.0);
-  EXPECT_LT(mat->inertia, fact->inertia * 2.0);
-}
-
 TEST(FactorizedKMeansTest, InertiaDecreases) {
   auto nm = SmallNormalized(16);
   ml::KMeansConfig config;
   config.k = 3;
   config.max_iters = 40;
-  auto model = TrainFactorizedKMeans(nm, config);
+  auto model = ml::TrainKMeansOnOperand(MakeFactorizedOperand(nm), config);
   ASSERT_TRUE(model.ok());
   for (size_t i = 1; i < model->inertia_history.size(); ++i) {
     EXPECT_LE(model->inertia_history[i], model->inertia_history[i - 1] + 1e-6);
@@ -278,7 +193,7 @@ TEST(FactorizedKMeansTest, AssignmentsConsistentWithCenters) {
   auto nm = SmallNormalized(17);
   ml::KMeansConfig config;
   config.k = 3;
-  auto model = TrainFactorizedKMeans(nm, config);
+  auto model = ml::TrainKMeansOnOperand(MakeFactorizedOperand(nm), config);
   ASSERT_TRUE(model.ok());
   auto mat = nm.Materialize();
   // Each point's recorded label must be its argmin-distance center.
@@ -297,12 +212,12 @@ TEST(FactorizedKMeansTest, AssignmentsConsistentWithCenters) {
 }
 
 TEST(FactorizedKMeansTest, InvalidK) {
-  auto nm = SmallNormalized(18);
+  const laopt::Operand x = MakeFactorizedOperand(SmallNormalized(18));
   ml::KMeansConfig config;
   config.k = 0;
-  EXPECT_FALSE(TrainFactorizedKMeans(nm, config).ok());
-  config.k = nm.rows() + 1;
-  EXPECT_FALSE(TrainFactorizedKMeans(nm, config).ok());
+  EXPECT_FALSE(ml::TrainKMeansOnOperand(x, config).ok());
+  config.k = x.rows() + 1;
+  EXPECT_FALSE(ml::TrainKMeansOnOperand(x, config).ok());
 }
 
 // Property sweep: factorized operators == materialized operators across

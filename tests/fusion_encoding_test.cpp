@@ -11,7 +11,7 @@
 #include "ml/encoding.h"
 #include "ml/glm.h"
 #include "ml/metrics.h"
-#include "ml/sparse_glm.h"
+#include "ml/unified_trainers.h"
 
 namespace dmml {
 namespace {
@@ -178,7 +178,8 @@ TEST(OneHotTest, TrainableEndToEnd) {
   config.family = ml::GlmFamily::kBinomial;
   config.learning_rate = 1.0;
   config.max_epochs = 200;
-  auto model = ml::TrainGlmSparse(*x, y, config);
+  auto model = ml::TrainGlmOnOperand(
+      laopt::Operand(std::make_shared<const la::SparseMatrix>(*x)), y, config);
   ASSERT_TRUE(model.ok());
   auto labels = model->PredictLabels(x->ToDense());
   EXPECT_DOUBLE_EQ(*ml::Accuracy(y, *labels), 1.0);

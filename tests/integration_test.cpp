@@ -9,12 +9,13 @@
 
 #include "cla/compressed_matrix.h"
 #include "data/generators.h"
-#include "factorized/factorized_glm.h"
+#include "factorized/factorized_operand.h"
 #include "factorized/normalized_matrix.h"
 #include "la/kernels.h"
 #include "laopt/executor.h"
 #include "laopt/optimizer.h"
 #include "ml/metrics.h"
+#include "ml/unified_trainers.h"
 #include "modelsel/model_selection.h"
 #include "ps/parameter_server.h"
 #include "relational/operators.h"
@@ -53,8 +54,9 @@ TEST(IntegrationTest, RelationalJoinFeedsTraining) {
   ml::GlmConfig config;
   config.max_epochs = 100;
   config.learning_rate = 0.05;
-  auto from_sql = factorized::TrainDenseGlmMatrixForm(*x_rel, *y_rel, config);
-  auto from_factorized = factorized::TrainFactorizedGlm(nm, ds.y, config);
+  auto from_sql = ml::TrainGlm(*x_rel, *y_rel, config);
+  auto from_factorized =
+      ml::TrainGlmOnOperand(factorized::MakeFactorizedOperand(nm), ds.y, config);
   ASSERT_TRUE(from_sql.ok());
   ASSERT_TRUE(from_factorized.ok());
   EXPECT_TRUE(from_sql->weights.ApproxEquals(from_factorized->weights, 1e-7));

@@ -1,14 +1,16 @@
-// Tests for matrix persistence, sparse GLM training and validation helpers.
+// Tests for matrix persistence, GLM training over a CSR binding and
+// validation helpers.
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <memory>
 #include <set>
 
 #include "data/generators.h"
 #include "la/kernels.h"
 #include "la/matrix_io.h"
 #include "ml/metrics.h"
-#include "ml/sparse_glm.h"
+#include "ml/unified_trainers.h"
 #include "ml/validation.h"
 
 namespace dmml {
@@ -100,29 +102,12 @@ TEST(MatrixIoTest, CsvRejectsRaggedRows) {
 }
 
 // --------------------------------------------------------------------------
-// Sparse GLM
+// Sparse GLM (the operand trainer over a CSR binding; parity with the dense
+// binding is in laopt_repr_test)
 // --------------------------------------------------------------------------
 
-TEST(SparseGlmTest, MatchesDenseTrainingExactly) {
-  auto sparse = data::SparseGaussianMatrix(300, 20, 0.1, 5);
-  auto dense = sparse.ToDense();
-  Rng rng(6);
-  DenseMatrix w_true(20, 1);
-  for (size_t j = 0; j < 20; ++j) w_true.At(j, 0) = rng.Normal();
-  DenseMatrix y = la::SparseGemv(sparse, w_true);
-  for (size_t i = 0; i < y.rows(); ++i) y.At(i, 0) += rng.Normal(0, 0.01);
-
-  ml::GlmConfig config;
-  config.learning_rate = 0.5;
-  config.max_epochs = 100;
-  config.tolerance = 0;
-  auto sparse_model = ml::TrainGlmSparse(sparse, y, config);
-  ASSERT_TRUE(sparse_model.ok());
-  config.solver = ml::GlmSolver::kBatchGd;
-  auto dense_model = ml::TrainGlm(dense, y, config);
-  ASSERT_TRUE(dense_model.ok());
-  EXPECT_TRUE(sparse_model->weights.ApproxEquals(dense_model->weights, 1e-9));
-  EXPECT_NEAR(sparse_model->intercept, dense_model->intercept, 1e-9);
+laopt::Operand Csr(SparseMatrix x) {
+  return laopt::Operand(std::make_shared<const SparseMatrix>(std::move(x)));
 }
 
 TEST(SparseGlmTest, LogisticOnSparseOneHot) {
@@ -141,7 +126,7 @@ TEST(SparseGlmTest, LogisticOnSparseOneHot) {
   config.family = ml::GlmFamily::kBinomial;
   config.learning_rate = 1.0;
   config.max_epochs = 300;
-  auto model = ml::TrainGlmSparse(x, y, config);
+  auto model = ml::TrainGlmOnOperand(Csr(x), y, config);
   ASSERT_TRUE(model.ok());
   // Predictions via the dense model interface on the densified matrix.
   auto labels = model->PredictLabels(x.ToDense());
@@ -149,29 +134,16 @@ TEST(SparseGlmTest, LogisticOnSparseOneHot) {
   EXPECT_GT(*ml::Accuracy(y, *labels), 0.98);
 }
 
-TEST(SparseGlmTest, LossMatchesDenseLoss) {
-  auto sparse = data::SparseGaussianMatrix(50, 8, 0.3, 8);
-  auto w = data::GaussianMatrix(8, 1, 9);
-  DenseMatrix y(50, 1, 0.5);
-  auto sparse_loss =
-      ml::GlmLossSparse(sparse, y, w, 0.1, ml::GlmFamily::kGaussian, 0.2);
-  auto dense_loss =
-      ml::GlmLoss(sparse.ToDense(), y, w, 0.1, ml::GlmFamily::kGaussian, 0.2);
-  ASSERT_TRUE(sparse_loss.ok());
-  ASSERT_TRUE(dense_loss.ok());
-  EXPECT_NEAR(*sparse_loss, *dense_loss, 1e-12);
-}
-
 TEST(SparseGlmTest, Validation) {
   ml::GlmConfig config;
-  EXPECT_FALSE(ml::TrainGlmSparse(SparseMatrix(), DenseMatrix(0, 1), config).ok());
-  auto x = data::SparseGaussianMatrix(10, 3, 0.5, 10);
-  EXPECT_FALSE(ml::TrainGlmSparse(x, DenseMatrix(5, 1), config).ok());
+  EXPECT_FALSE(ml::TrainGlmOnOperand(Csr(SparseMatrix()), DenseMatrix(0, 1), config).ok());
+  const laopt::Operand x = Csr(data::SparseGaussianMatrix(10, 3, 0.5, 10));
+  EXPECT_FALSE(ml::TrainGlmOnOperand(x, DenseMatrix(5, 1), config).ok());
   config.learning_rate = -1;
-  EXPECT_FALSE(ml::TrainGlmSparse(x, DenseMatrix(10, 1), config).ok());
+  EXPECT_FALSE(ml::TrainGlmOnOperand(x, DenseMatrix(10, 1), config).ok());
   config = ml::GlmConfig{};
   config.family = ml::GlmFamily::kBinomial;
-  EXPECT_FALSE(ml::TrainGlmSparse(x, DenseMatrix(10, 1, 0.7), config).ok());
+  EXPECT_FALSE(ml::TrainGlmOnOperand(x, DenseMatrix(10, 1, 0.7), config).ok());
 }
 
 // --------------------------------------------------------------------------

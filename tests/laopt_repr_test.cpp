@@ -1,18 +1,22 @@
 // Representation-polymorphic execution: one laopt program over dense, CSR
-// sparse, and CLA-compressed operands.
+// sparse, CLA-compressed and factorized operands.
 //
 //  * The same program source (and the same compiled plan) must produce the
 //    same values under every leaf representation, while dispatching to the
 //    representation's native kernels (laopt.repr.* counters).
-//  * The GLM normal-equations products run end to end under all three
-//    bindings with zero program-source changes.
+//  * One engine, four bindings: batch-gradient GLM, the normal equations
+//    and Lloyd's k-means (ml/unified_trainers.h) over dense, CSR, CLA and
+//    factorized views of one star join must match the dense binding, batch
+//    GD must also match a per-row reference loop, no binding may densify,
+//    and every binding reports the trainer step histograms.
 //  * BufferedExecutor::Bind rebinding — different data, different shape,
 //    different representation — must never surface stale buffer contents.
 //  * EvalExpression threads the caller's pool through to the kernels
 //    (regression: it used to drop the pool on the floor).
 //
 // This suite is the sanitizer target for representation dispatch: it must
-// stay green under -DDMML_SANITIZE=thread and address,undefined.
+// stay green under -DDMML_SANITIZE=thread and address,undefined, with and
+// without DMML_INTER_NODE=1.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -22,11 +26,14 @@
 
 #include "cla/compressed_matrix.h"
 #include "data/generators.h"
+#include "factorized/factorized_operand.h"
+#include "factorized/normalized_matrix.h"
 #include "la/kernels.h"
 #include "laopt/analysis.h"
 #include "laopt/executor.h"
 #include "laopt/expr.h"
 #include "laopt/parser.h"
+#include "ml/metrics.h"
 #include "ml/unified_trainers.h"
 #include "obs/metrics.h"
 #include "util/rng.h"
@@ -149,53 +156,264 @@ TEST_F(ReprParityTest, ExplainShowsRepresentationChoices) {
   EXPECT_NE(cdump.find("repr dense"), std::string::npos) << cdump;
 }
 
-TEST_F(ReprParityTest, NormalEquationsGlmAllThreeRepresentations) {
-  ml::GlmConfig config;
-  config.solver = ml::GlmSolver::kNormalEquations;
-  config.l2 = 0.05;
-  ThreadPool pool(3);
+// --------------------------------------------------------------------------
+// One engine, four bindings
+// --------------------------------------------------------------------------
 
-  ml::GlmModel dense_model, sparse_model, compressed_model;
-  ASSERT_TRUE(ml::RunNormalEquationsOnOperand(Operand(dense_), *y_, config,
-                                              &pool, &dense_model)
-                  .ok());
-  ASSERT_TRUE(ml::RunNormalEquationsOnOperand(Operand(sparse_), *y_, config,
-                                              &pool, &sparse_model)
-                  .ok());
-  ASSERT_TRUE(ml::RunNormalEquationsOnOperand(Operand(compressed_), *y_,
-                                              config, &pool, &compressed_model)
-                  .ok());
+enum class Binding { kDense, kCsr, kCompressed, kFactorized };
 
-  EXPECT_LE(MaxAbsDiff(sparse_model.weights, dense_model.weights), 1e-9);
-  EXPECT_LE(MaxAbsDiff(compressed_model.weights, dense_model.weights), 1e-9);
-  EXPECT_NEAR(sparse_model.intercept, dense_model.intercept, 1e-9);
-  EXPECT_NEAR(compressed_model.intercept, dense_model.intercept, 1e-9);
-
-  // The dense operand path is the ml::TrainGlm normal-equations solver.
-  auto front_door = ml::TrainGlm(*dense_, *y_, config, &pool);
-  ASSERT_TRUE(front_door.ok());
-  EXPECT_LE(MaxAbsDiff(front_door->weights, dense_model.weights), 1e-12);
+std::string BindingName(const ::testing::TestParamInfo<Binding>& info) {
+  switch (info.param) {
+    case Binding::kDense:
+      return "Dense";
+    case Binding::kCsr:
+      return "Csr";
+    case Binding::kCompressed:
+      return "Compressed";
+    case Binding::kFactorized:
+      return "Factorized";
+  }
+  return "Unknown";
 }
 
-TEST_F(ReprParityTest, UnifiedKMeansTracksRepresentations) {
+// A star join T = [XS | XR[fk]] with continuous entity features (no two
+// rows tie in distance), low-cardinality attribute features (they
+// compress), and about half of all cells zero (the CSR view is sparse).
+struct StarJoin {
+  std::shared_ptr<const factorized::NormalizedMatrix> normalized;
+  std::shared_ptr<const DenseMatrix> dense;  // The materialized join.
+  DenseMatrix y_gaussian;
+  DenseMatrix y_binomial;
+};
+
+StarJoin MakeStarJoin() {
+  const size_t ns = 240, nr = 12, ds = 3, dr = 5;
+  Rng rng(71);
+  DenseMatrix xs(ns, ds);
+  for (size_t i = 0; i < xs.size(); ++i) {
+    xs.data()[i] = rng.Uniform(0.0, 1.0) < 0.5 ? 0.0 : rng.Normal();
+  }
+  DenseMatrix xr = data::LowCardinalityMatrix(nr, dr, 3, /*run_sorted=*/false, 72);
+  for (size_t i = 0; i < xr.size(); ++i) {
+    xr.data()[i] = rng.Uniform(0.0, 1.0) < 0.5 ? 0.0 : xr.data()[i] / 100.0;
+  }
+  std::vector<uint32_t> fk(ns);
+  for (auto& key : fk) key = static_cast<uint32_t>(rng.UniformInt(uint64_t{nr}));
+  auto nm = factorized::NormalizedMatrix::Make(std::move(xs), {{std::move(xr), fk}});
+  EXPECT_TRUE(nm.ok());
+
+  StarJoin join;
+  join.normalized =
+      std::make_shared<const factorized::NormalizedMatrix>(std::move(nm).ValueOrDie());
+  join.dense = std::make_shared<const DenseMatrix>(join.normalized->Materialize());
+  const DenseMatrix scores = la::Gemv(*join.dense, data::GaussianMatrix(ds + dr, 1, 73));
+  join.y_gaussian = DenseMatrix(ns, 1);
+  join.y_binomial = DenseMatrix(ns, 1);
+  for (size_t i = 0; i < ns; ++i) {
+    join.y_gaussian.At(i, 0) = scores.At(i, 0) + 0.1 * rng.Normal();
+    join.y_binomial.At(i, 0) = scores.At(i, 0) > 0 ? 1.0 : 0.0;
+  }
+  return join;
+}
+
+Operand Bind(const StarJoin& join, Binding binding) {
+  switch (binding) {
+    case Binding::kDense:
+      return Operand(join.dense);
+    case Binding::kCsr:
+      return Operand(std::make_shared<const SparseMatrix>(ToCsr(*join.dense)));
+    case Binding::kCompressed:
+      return Operand(std::make_shared<const CompressedMatrix>(
+          CompressedMatrix::Compress(*join.dense)));
+    case Binding::kFactorized:
+      return factorized::MakeFactorizedOperand(join.normalized);
+  }
+  return Operand();
+}
+
+// Per-row batch gradient descent: row dot products and axpys instead of
+// executor products, kept as a reference independent of the executor.
+// Runs every epoch (no tolerance stop). loss_history[e] is the loss at the
+// weights epoch e starts from, the operand trainer's convention.
+ml::GlmModel ReferenceBatchGd(const DenseMatrix& x, const DenseMatrix& y,
+                              const ml::GlmConfig& config) {
+  const size_t n = x.rows(), d = x.cols();
+  ml::GlmModel model;
+  model.family = config.family;
+  model.weights = DenseMatrix(d, 1);
+  DenseMatrix grad(d, 1);
+  for (size_t epoch = 0; epoch < config.max_epochs; ++epoch) {
+    model.loss_history.push_back(*ml::GlmLoss(x, y, model.weights, model.intercept,
+                                              config.family, config.l2));
+    grad.Fill(0.0);
+    double bias_grad = 0.0;
+    for (size_t i = 0; i < n; ++i) {
+      double score = la::Dot(x.Row(i), model.weights.data(), d) + model.intercept;
+      double g = ml::GlmInverseLink(score, config.family) - y.At(i, 0);
+      la::Axpy(g, x.Row(i), grad.data(), d);
+      bias_grad += g;
+    }
+    double inv_n = 1.0 / static_cast<double>(n);
+    double lr = config.learning_rate /
+                (1.0 + config.lr_decay * static_cast<double>(epoch));
+    for (size_t j = 0; j < d; ++j) {
+      double gj = grad.At(j, 0) * inv_n + config.l2 * model.weights.At(j, 0);
+      model.weights.At(j, 0) -= lr * gj;
+    }
+    if (config.fit_intercept) model.intercept -= lr * bias_grad * inv_n;
+    model.epochs_run = epoch + 1;
+  }
+  return model;
+}
+
+void ExpectSameGlm(const ml::GlmModel& a, const ml::GlmModel& b) {
+  EXPECT_EQ(a.epochs_run, b.epochs_run);
+  EXPECT_LE(MaxAbsDiff(a.weights, b.weights), 1e-9);
+  EXPECT_NEAR(a.intercept, b.intercept, 1e-9);
+  ASSERT_EQ(a.loss_history.size(), b.loss_history.size());
+  for (size_t e = 0; e < a.loss_history.size(); ++e) {
+    EXPECT_NEAR(a.loss_history[e], b.loss_history[e], 1e-9) << "epoch " << e;
+  }
+}
+
+class OneEngineParityTest : public ::testing::TestWithParam<Binding> {
+ protected:
+  void SetUp() override {
+    join_ = MakeStarJoin();
+    x_ = Bind(join_, GetParam());
+    dense_x_ = Operand(join_.dense);
+  }
+
+  StarJoin join_;
+  Operand x_;
+  Operand dense_x_;
+  ThreadPool pool_{3};
+};
+
+TEST_P(OneEngineParityTest, BatchGdMatchesDenseBindingAndPerRowReference) {
+  for (ml::GlmFamily family : {ml::GlmFamily::kGaussian, ml::GlmFamily::kBinomial}) {
+    for (bool intercept : {true, false}) {
+      for (double l2 : {0.0, 0.05}) {
+        ml::GlmConfig config;
+        config.family = family;
+        config.fit_intercept = intercept;
+        config.l2 = l2;
+        config.learning_rate = family == ml::GlmFamily::kGaussian ? 0.1 : 0.5;
+        config.max_epochs = 25;
+        config.tolerance = 0;
+        const DenseMatrix& y = family == ml::GlmFamily::kGaussian ? join_.y_gaussian
+                                                                  : join_.y_binomial;
+        SCOPED_TRACE(std::string(family == ml::GlmFamily::kGaussian ? "gaussian"
+                                                                    : "binomial") +
+                     (intercept ? " intercept" : " no-intercept") + " l2=" +
+                     std::to_string(l2));
+        auto bound = ml::TrainGlmOnOperand(x_, y, config, &pool_);
+        auto dense = ml::TrainGlmOnOperand(dense_x_, y, config, &pool_);
+        ASSERT_TRUE(bound.ok()) << bound.status().message();
+        ASSERT_TRUE(dense.ok()) << dense.status().message();
+        EXPECT_EQ(bound->epochs_run, config.max_epochs);
+        ExpectSameGlm(*bound, *dense);
+        ExpectSameGlm(*bound, ReferenceBatchGd(*join_.dense, y, config));
+        if (!intercept) {
+          EXPECT_EQ(bound->intercept, 0.0);
+        }
+      }
+    }
+  }
+}
+
+TEST_P(OneEngineParityTest, NormalEquationsMatchDenseBinding) {
+  for (bool intercept : {true, false}) {
+    for (double l2 : {0.0, 0.5}) {
+      ml::GlmConfig config;
+      config.solver = ml::GlmSolver::kNormalEquations;
+      config.fit_intercept = intercept;
+      config.l2 = l2;
+      SCOPED_TRACE(std::string(intercept ? "intercept" : "no-intercept") +
+                   " l2=" + std::to_string(l2));
+      ml::GlmModel bound, dense;
+      Status bound_st = ml::RunNormalEquationsOnOperand(x_, join_.y_gaussian, config,
+                                                        &pool_, &bound);
+      Status dense_st = ml::RunNormalEquationsOnOperand(dense_x_, join_.y_gaussian,
+                                                        config, &pool_, &dense);
+      ASSERT_TRUE(bound_st.ok()) << bound_st.message();
+      ASSERT_TRUE(dense_st.ok()) << dense_st.message();
+      ExpectSameGlm(bound, dense);
+    }
+  }
+}
+
+TEST_P(OneEngineParityTest, KMeansMatchesDenseBinding) {
   ml::KMeansConfig config;
-  config.k = 3;
-  config.max_iters = 15;
+  config.k = 4;
+  config.max_iters = 20;
   config.seed = 11;
-
-  auto dense_model = ml::TrainKMeansOnOperand(Operand(dense_), config);
-  auto sparse_model = ml::TrainKMeansOnOperand(Operand(sparse_), config);
-  auto compressed_model = ml::TrainKMeansOnOperand(Operand(compressed_), config);
-  ASSERT_TRUE(dense_model.ok());
-  ASSERT_TRUE(sparse_model.ok());
-  ASSERT_TRUE(compressed_model.ok());
-
-  // Same seed, same math: the inertia trajectories must agree to fp noise.
-  EXPECT_NEAR(sparse_model->inertia, dense_model->inertia,
-              1e-6 * std::max(1.0, dense_model->inertia));
-  EXPECT_NEAR(compressed_model->inertia, dense_model->inertia,
-              1e-6 * std::max(1.0, dense_model->inertia));
+  auto bound = ml::TrainKMeansOnOperand(x_, config, &pool_);
+  auto dense = ml::TrainKMeansOnOperand(dense_x_, config, &pool_);
+  ASSERT_TRUE(bound.ok()) << bound.status().message();
+  ASSERT_TRUE(dense.ok()) << dense.status().message();
+  EXPECT_EQ(bound->labels, dense->labels);
+  EXPECT_LE(MaxAbsDiff(bound->centers, dense->centers), 1e-9);
+  EXPECT_NEAR(bound->inertia, dense->inertia, 1e-9 * std::max(1.0, dense->inertia));
+  EXPECT_EQ(bound->iters_run, dense->iters_run);
+  ASSERT_EQ(bound->inertia_history.size(), dense->inertia_history.size());
+  for (size_t t = 0; t < dense->inertia_history.size(); ++t) {
+    EXPECT_NEAR(bound->inertia_history[t], dense->inertia_history[t],
+                1e-9 * std::max(1.0, dense->inertia_history[t]));
+  }
 }
+
+TEST_P(OneEngineParityTest, KMeansLabelsAndInertiaDescribeReturnedCenters) {
+  // Two iterations cannot converge here, so the last update still moves the
+  // centers; labels from that iteration's assignment would be stale.
+  ml::KMeansConfig config;
+  config.k = 8;
+  config.max_iters = 2;
+  config.tolerance = 0;
+  config.seed = 3;
+  auto model = ml::TrainKMeansOnOperand(x_, config, &pool_);
+  ASSERT_TRUE(model.ok()) << model.status().message();
+  ASSERT_EQ(model->iters_run, 2u);
+  auto predicted = model->Predict(*join_.dense);
+  ASSERT_TRUE(predicted.ok());
+  EXPECT_EQ(*predicted, model->labels);
+  const double recomputed =
+      ml::KMeansInertia(*join_.dense, model->centers, model->labels);
+  EXPECT_NEAR(model->inertia, recomputed, 1e-9 * std::max(1.0, recomputed));
+}
+
+TEST_P(OneEngineParityTest, TrainersNeverDensifyAndObserveStepHistograms) {
+  auto& registry = obs::MetricsRegistry::Global();
+  obs::Histogram* epoch_us =
+      registry.GetHistogram("ml.glm.epoch_us", obs::ExponentialBuckets(32, 4, 10));
+  obs::Histogram* iter_us =
+      registry.GetHistogram("ml.kmeans.iter_us", obs::ExponentialBuckets(32, 4, 10));
+  const uint64_t fallbacks = CounterValue("laopt.repr.densify_fallbacks");
+  const uint64_t epochs_before = epoch_us->TotalCount();
+  const uint64_t iters_before = iter_us->TotalCount();
+
+  ml::GlmConfig glm_config;
+  glm_config.family = ml::GlmFamily::kBinomial;
+  glm_config.max_epochs = 12;
+  auto glm = ml::TrainGlmOnOperand(x_, join_.y_binomial, glm_config, &pool_);
+  ASSERT_TRUE(glm.ok()) << glm.status().message();
+  EXPECT_EQ(epoch_us->TotalCount() - epochs_before, glm->epochs_run);
+
+  ml::KMeansConfig kmeans_config;
+  kmeans_config.k = 5;
+  kmeans_config.max_iters = 7;
+  auto kmeans = ml::TrainKMeansOnOperand(x_, kmeans_config, &pool_);
+  ASSERT_TRUE(kmeans.ok()) << kmeans.status().message();
+  EXPECT_EQ(iter_us->TotalCount() - iters_before, kmeans->iters_run);
+
+  EXPECT_EQ(CounterValue("laopt.repr.densify_fallbacks"), fallbacks)
+      << "batch GD and k-means must run on the binding's native kernels";
+}
+
+INSTANTIATE_TEST_SUITE_P(Bindings, OneEngineParityTest,
+                         ::testing::Values(Binding::kDense, Binding::kCsr,
+                                           Binding::kCompressed, Binding::kFactorized),
+                         BindingName);
 
 TEST(BufferedExecutorBindTest, RebindAcrossShapesAndRepresentations) {
   // A shape-polymorphic plan: colSums over a leaf with unknown rows.

@@ -7,7 +7,7 @@
 #include <set>
 
 #include "data/generators.h"
-#include "factorized/factorized_glm.h"
+#include "ml/unified_trainers.h"
 #include "modelsel/model_selection.h"
 
 namespace dmml::modelsel {
@@ -118,7 +118,7 @@ TEST(BatchedTrainTest, MatchesSequentialBatchGdExactly) {
   for (size_t c = 0; c < configs.size(); ++c) {
     GlmConfig config = configs[c];
     config.tolerance = 0;
-    auto solo = factorized::TrainDenseGlmMatrixForm(ds.x, ds.y, config);
+    auto solo = ml::TrainGlmOnOperand(ml::BorrowOperand(ds.x), ds.y, config);
     ASSERT_TRUE(solo.ok());
     EXPECT_TRUE((*batched)[c].weights.ApproxEquals(solo->weights, 1e-8))
         << "config " << c;
@@ -139,7 +139,7 @@ TEST(BatchedTrainTest, LogisticFamilyAgrees) {
   ASSERT_TRUE(batched.ok());
   for (size_t c = 0; c < 2; ++c) {
     GlmConfig config = configs[c];
-    auto solo = factorized::TrainDenseGlmMatrixForm(ds.x, ds.y, config);
+    auto solo = ml::TrainGlmOnOperand(ml::BorrowOperand(ds.x), ds.y, config);
     ASSERT_TRUE(solo.ok());
     EXPECT_TRUE((*batched)[c].weights.ApproxEquals(solo->weights, 1e-8));
   }
@@ -219,7 +219,7 @@ TEST_P(BatchedEquivalenceProperty, BatchedMatchesSolo) {
   auto batched = BatchedTrainGlm(x, y, configs);
   ASSERT_TRUE(batched.ok());
   for (int c = 0; c < num_configs; ++c) {
-    auto solo = factorized::TrainDenseGlmMatrixForm(x, y, configs[c]);
+    auto solo = ml::TrainGlmOnOperand(ml::BorrowOperand(x), y, configs[c]);
     ASSERT_TRUE(solo.ok());
     EXPECT_TRUE((*batched)[c].weights.ApproxEquals(solo->weights, 1e-8));
   }

@@ -345,6 +345,32 @@ TEST(PipelineRejectionTest, UnknownLabelColumn) {
             std::string::npos);
 }
 
+TEST(PipelineRejectionTest, TrainGlmRejectsNonBatchGdSolvers) {
+  // TrainGlm runs batch gradient descent on either route; any other solver
+  // must be refused by name instead of silently running batch GD.
+  storage::Catalog catalog = StarCatalog(60, 6, 1, 2);
+  for (Route route : {Route::kMaterialize, Route::kFactorized}) {
+    for (ml::GlmSolver solver :
+         {ml::GlmSolver::kSgd, ml::GlmSolver::kAdam, ml::GlmSolver::kHogwild,
+          ml::GlmSolver::kNormalEquations}) {
+      ml::GlmConfig config;
+      config.solver = solver;
+      auto fit = StarPipeline(&catalog, 1, 2, route).TrainGlm(config);
+      ASSERT_FALSE(fit.ok());
+      EXPECT_EQ(fit.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(fit.status().message().find("solver"), std::string::npos)
+          << fit.status().ToString();
+    }
+  }
+  ml::GlmConfig sgd_config;
+  sgd_config.solver = ml::GlmSolver::kSgd;
+  auto sgd = StarPipeline(&catalog, 1, 2, Route::kAuto).TrainGlm(sgd_config);
+  ASSERT_FALSE(sgd.ok());
+  EXPECT_NE(sgd.status().message().find("sgd"), std::string::npos)
+      << sgd.status().ToString();
+  EXPECT_TRUE(StarPipeline(&catalog, 1, 2, Route::kAuto).TrainGlm({}).ok());
+}
+
 TEST(PipelineRejectionTest, JoinKeyShapeMismatch) {
   storage::Catalog catalog = StarCatalog(50, 5, 1, 2);
   // xs0 is a double column: joining it against the int64 rid must be
