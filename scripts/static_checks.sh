@@ -31,7 +31,9 @@
 #     plans), each twice: default scheduling and DMML_INTER_NODE=1.
 #     pipeline_frontend_test (table -> join -> train through both physical
 #     routes) also runs under both sanitizers, plain and with
-#     DMML_VERIFY=1 DMML_INTER_NODE=1.
+#     DMML_VERIFY=1 DMML_INTER_NODE=1. laopt_analysis_test (the analyzer,
+#     and dense nonzero counts shared by concurrent first callers) runs
+#     under both sanitizers, plain and with DMML_INTER_NODE=1.
 #  4. A plan-verifier gate: every laopt test binary plus the laopt benches
 #     re-run in the Release build with DMML_VERIFY=1 DMML_LINT=1, so the
 #     structural verifier checks every optimizer pass output at -O2 (Release
@@ -248,10 +250,11 @@ fi
 # ---------------------------------------------------------------------------
 run_sanitized_repr_gate() {
   local san="$1" dir="$2"
-  echo "static_checks: building laopt_repr_test + laopt_verify_test + laopt_sched_test + modelsel_shared_test + pipeline_frontend_test (DMML_SANITIZE=$san) in $dir..."
+  echo "static_checks: building laopt_repr_test + laopt_verify_test + laopt_sched_test + laopt_analysis_test + modelsel_shared_test + pipeline_frontend_test (DMML_SANITIZE=$san) in $dir..."
   if cmake -B "$dir" -S "$repo_root" -DDMML_SANITIZE="$san" >/dev/null \
       && cmake --build "$dir" --target laopt_repr_test --target laopt_verify_test \
-           --target laopt_sched_test --target modelsel_shared_test \
+           --target laopt_sched_test --target laopt_analysis_test \
+           --target modelsel_shared_test \
            --target pipeline_frontend_test -j >/dev/null; then
     if "$dir/tests/laopt_repr_test" >/dev/null \
         && DMML_INTER_NODE=1 "$dir/tests/laopt_repr_test" >/dev/null; then
@@ -274,6 +277,15 @@ run_sanitized_repr_gate() {
       echo "static_checks: inter-node scheduler clean under $san"
     else
       echo "static_checks: FAILED — laopt_sched_test under $san" >&2
+      status=1
+    fi
+    # The analyzer suite, whose concurrent first Operand::Sparsity() calls
+    # race on one shared nonzero-count cell, runs plain and inter-node.
+    if "$dir/tests/laopt_analysis_test" >/dev/null \
+        && DMML_INTER_NODE=1 "$dir/tests/laopt_analysis_test" >/dev/null; then
+      echo "static_checks: analyzer clean under $san"
+    else
+      echo "static_checks: FAILED — laopt_analysis_test under $san" >&2
       status=1
     fi
     # The shared-scan rung engine also runs twice (default dataflow, then

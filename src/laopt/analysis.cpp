@@ -62,14 +62,6 @@ double ReduceSparsity(double s, const Dim& length) {
   return ClampSparsity(1.0 - std::pow(1.0 - s, static_cast<double>(length.value)));
 }
 
-double ExactSparsity(const la::DenseMatrix& m) {
-  if (m.size() == 0) return 0.0;
-  size_t nnz = 0;
-  const double* data = m.data();
-  for (size_t i = 0; i < m.size(); ++i) nnz += (data[i] != 0.0) ? 1 : 0;
-  return static_cast<double>(nnz) / static_cast<double>(m.size());
-}
-
 Status ShapeError(const ExprNode& node, const char* what, const Shape& left,
                   const Shape& right) {
   DMML_COUNTER_INC("laopt.analysis.shape_rejects");
@@ -143,7 +135,7 @@ DagAnalysis::DagAnalysis(AnalysisOptions options) : options_(options) {}
 
 const NodeAnalysis* DagAnalysis::Find(const ExprNode* node) const {
   auto it = info_.find(node);
-  return it == info_.end() ? nullptr : &it->second;
+  return it == info_.end() ? nullptr : &it->second.second;
 }
 
 Result<NodeAnalysis> DagAnalysis::Ensure(const ExprPtr& node) {
@@ -166,28 +158,12 @@ Result<NodeAnalysis> DagAnalysis::Ensure(const ExprPtr& node) {
     case OpKind::kInput: {
       const Operand& op = node->operand();
       if (op.bound()) {
-        switch (op.repr()) {
-          case Repr::kDense:
-            info.sparsity = options_.exact_input_nnz
-                                ? ExactSparsity(*op.dense())
-                                : 1.0;
-            break;
-          case Repr::kSparse:
-            // CSR carries its nnz — exact sparsity for free, no scan.
-            info.sparsity = op.Sparsity();
-            break;
-          case Repr::kCompressed:
-            // Compressed groups don't expose nnz cheaply; cost it as dense
-            // cells but with its actual (compressed) footprint below.
-            info.sparsity = 1.0;
-            break;
-          case Repr::kFactorized:
-            // Matrix-free operators are costed as dense cells but with
-            // their own (normalized) footprint below — the gap is the
-            // redundancy the factorized route avoids.
-            info.sparsity = 1.0;
-            break;
-        }
+        // Exact for CSR (it carries its nnz) and for dense (counted once per
+        // binding; every leaf copied from it shares the count). Compressed
+        // and factorized operands read 1.0: they are costed as dense cells
+        // but with their own footprint below — for a factorized operand the
+        // gap is the redundancy the factorized route avoids.
+        info.sparsity = op.Sparsity();
       } else {
         info.sparsity = ClampSparsity(options_.default_placeholder_sparsity);
         DMML_COUNTER_INC("laopt.analysis.placeholders");
@@ -294,7 +270,7 @@ Result<NodeAnalysis> DagAnalysis::Ensure(const ExprPtr& node) {
   }
 
   if (!info.shape.FullyKnown()) DMML_COUNTER_INC("laopt.analysis.unknown_shapes");
-  info_.emplace(node.get(), info);
+  info_.emplace(node.get(), std::make_pair(node, info));
   return info;
 }
 

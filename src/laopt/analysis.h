@@ -30,6 +30,7 @@
 #include <cstdint>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "laopt/expr.h"
@@ -98,21 +99,22 @@ struct NodeAnalysis {
   Repr chosen_repr = Repr::kDense;
 };
 
-/// \brief Analyzer knobs.
+/// \brief Analyzer knobs. Bound leaves need none: their sparsity is
+/// Operand::Sparsity(), exact for dense and CSR, and a dense binding is
+/// counted once however many leaves and analyses read it.
 struct AnalysisOptions {
   /// Sparsity assumed for Placeholder leaves (no data to inspect).
   double default_placeholder_sparsity = 1.0;
-
-  /// Count exact nonzeros of bound input matrices (one O(size) scan per
-  /// distinct leaf). When false, inputs are assumed dense.
-  bool exact_input_nnz = true;
 };
 
 /// \brief Per-node analysis results for one DAG, memoized by node identity.
 ///
 /// Obtained from AnalyzeDag. `Ensure` analyzes nodes on demand, so passes
 /// that rewrite the DAG (optimizer, CSE) can keep querying one DagAnalysis
-/// for nodes they create — each node is analyzed at most once.
+/// for nodes they create — each node is analyzed at most once. The analysis
+/// holds every node it memoizes, so a temporary a pass analyzes and then
+/// drops stays allocated: its address cannot be recycled by a later node
+/// and answered with the temporary's stale shape.
 class DagAnalysis {
  public:
   explicit DagAnalysis(AnalysisOptions options = {});
@@ -136,7 +138,7 @@ class DagAnalysis {
 
  private:
   AnalysisOptions options_;
-  std::unordered_map<const ExprNode*, NodeAnalysis> info_;
+  std::unordered_map<const ExprNode*, std::pair<ExprPtr, NodeAnalysis>> info_;
 };
 
 /// \brief Validates and analyzes the whole DAG under `root`. This is the

@@ -229,6 +229,7 @@ Status BufferedExecutor::PreparePlan(const ExprPtr& root) {
     DMML_RETURN_IF_ERROR(DiagnosticsToStatus("executor", VerifyPlan(root)));
   }
   PreparedPlan plan;
+  plan.roots = {root};
   const bool want_par = pool_ != nullptr && inter_node();
   if (buffer_sharing_ || want_par) {
     // A schedule failure (e.g. in release builds with the verifier off) is
@@ -354,6 +355,7 @@ Result<BufferedExecutor::PreparedPlan> BufferedExecutor::PrepareMultiPlan(
     }
   }
   PreparedPlan plan;
+  plan.roots = roots;
   if (pool_ != nullptr && inter_node()) {
     // Children-first postorder over the union of roots; shared sub-DAGs
     // (e.g. the bound X leaf every fold branch reads) appear once.

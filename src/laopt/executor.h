@@ -262,6 +262,10 @@ class BufferedExecutor {
   };
 
   struct PreparedPlan {
+    /// The prepared roots. This executor keys plans, slots and buffers by
+    /// node address; holding the roots keeps every such node allocated, so
+    /// a root the caller releases cannot be recycled into a stale plan.
+    std::vector<ExprPtr> roots;
     /// node → pool buffer id. An empty map = verified, dedicated buffers.
     std::unordered_map<const ExprNode*, size_t> assign;
     std::unique_ptr<ParallelPlan> par;  ///< Null when prepared serial-only.

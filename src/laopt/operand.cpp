@@ -1,8 +1,16 @@
 #include "laopt/operand.h"
 
 #include "la/kernels.h"
+#include "obs/metrics.h"
 
 namespace dmml::laopt {
+
+namespace {
+
+// dense_nnz_ before the binding's first Sparsity() call.
+constexpr uint64_t kUncounted = UINT64_MAX;
+
+}  // namespace
 
 const char* ReprName(Repr repr) {
   switch (repr) {
@@ -40,6 +48,11 @@ Result<la::DenseMatrix> LinearOperator::ColumnSums(ThreadPool* pool) const {
   for (size_t j = 0; j < col.rows(); ++j) out.At(0, j) = col.At(j, 0);
   return out;
 }
+
+Operand::Operand(std::shared_ptr<const la::DenseMatrix> m)
+    : dense_(std::move(m)),
+      dense_nnz_(dense_ ? std::make_shared<std::atomic<uint64_t>>(kUncounted)
+                        : nullptr) {}
 
 size_t Operand::PayloadRows() const {
   if (dense_) return dense_->rows();
@@ -88,7 +101,22 @@ const void* Operand::payload() const {
 
 double Operand::Sparsity() const {
   if (sparse_) return sparse_->Density();
-  return 1.0;
+  if (!dense_) return 1.0;
+  const size_t cells = dense_->size();
+  if (cells == 0) return 0.0;
+  uint64_t nnz = dense_nnz_->load();
+  if (nnz == kUncounted) {
+    const double* data = dense_->data();
+    uint64_t counted = 0;
+    for (size_t i = 0; i < cells; ++i) counted += data[i] != 0.0 ? 1 : 0;
+    DMML_COUNTER_INC("laopt.analysis.dense_nnz_scans");
+    // Racing first calls each count; the first to publish wins, so every
+    // caller returns the same value.
+    uint64_t expected = kUncounted;
+    nnz = dense_nnz_->compare_exchange_strong(expected, counted) ? counted
+                                                                 : expected;
+  }
+  return static_cast<double>(nnz) / static_cast<double>(cells);
 }
 
 uint64_t Operand::SizeInBytes() const {

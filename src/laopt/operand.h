@@ -16,6 +16,7 @@
 #ifndef DMML_LAOPT_OPERAND_H_
 #define DMML_LAOPT_OPERAND_H_
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 
@@ -96,8 +97,9 @@ class Operand {
   // NOLINTBEGIN(google-explicit-constructor): implicit by design — an
   // Operand *is* a matrix handle, and environments/leaves accept any of the
   // three representations interchangeably.
-  Operand(std::shared_ptr<const la::DenseMatrix> m) : dense_(std::move(m)) {}
-  Operand(std::shared_ptr<la::DenseMatrix> m) : dense_(std::move(m)) {}
+  Operand(std::shared_ptr<const la::DenseMatrix> m);
+  Operand(std::shared_ptr<la::DenseMatrix> m)
+      : Operand(std::shared_ptr<const la::DenseMatrix>(std::move(m))) {}
   Operand(std::shared_ptr<const la::SparseMatrix> m) : sparse_(std::move(m)) {}
   Operand(std::shared_ptr<la::SparseMatrix> m) : sparse_(std::move(m)) {}
   Operand(std::shared_ptr<const cla::CompressedMatrix> m)
@@ -159,8 +161,17 @@ class Operand {
   /// unbound.
   const void* payload() const;
 
-  /// \brief Nonzero fraction: exact for sparse (nnz-based), 1.0 for dense
-  /// and compressed (no cheap count; the analyzer scans dense leaves itself).
+  /// \brief Nonzero fraction of the bound payload — the whole payload, also
+  /// for a windowed view. Exact for sparse (CSR nnz) and for dense: a dense
+  /// binding is counted once, on the first call, into a cell that every copy
+  /// and Slice of this handle shares, so parser leaves, Environment copies
+  /// and fold views reuse one count (`laopt.analysis.dense_nnz_scans`
+  /// counts the scans taken). An empty dense matrix reads 0. 1.0 for
+  /// compressed, factorized and unbound operands (no cheap count).
+  ///
+  /// The first count wins: a caller who mutates a bound dense matrix in
+  /// place keeps the old count until they bind a new Operand. The count
+  /// only feeds plan-time estimates, never results.
   double Sparsity() const;
 
   /// \brief Estimated resident bytes of the bound matrix in its own
@@ -175,6 +186,9 @@ class Operand {
   size_t PayloadRows() const;
 
   std::shared_ptr<const la::DenseMatrix> dense_;
+  /// The dense payload's nonzero count, shared by every copy and Slice of
+  /// this binding; kUncounted until the first Sparsity() call.
+  std::shared_ptr<std::atomic<uint64_t>> dense_nnz_;
   std::shared_ptr<const la::SparseMatrix> sparse_;
   std::shared_ptr<const cla::CompressedMatrix> compressed_;
   std::shared_ptr<const LinearOperator> linear_;

@@ -6,7 +6,9 @@
 
 #include <cmath>
 #include <cstdint>
+#include <future>
 #include <memory>
+#include <vector>
 
 #include "data/generators.h"
 #include "laopt/analysis.h"
@@ -17,6 +19,7 @@
 #include "laopt/parser.h"
 #include "laopt/pipeline.h"
 #include "obs/metrics.h"
+#include "util/thread_pool.h"
 
 namespace dmml::laopt {
 namespace {
@@ -91,6 +94,93 @@ TEST(AnalysisTest, ExactInputNnzAndSparsityFormulas) {
 
   // A sparse matrix is estimated cheaper than dense in CSR-ish storage.
   EXPECT_LT(a_info->est_bytes, a_info->dense_bytes);
+}
+
+// A dense binding's nonzeros are counted once, on its first analysis, into a
+// cell every copy of the Operand shares — parser leaves copy the
+// Environment's entry, so recompiling one script never rescans its inputs.
+TEST(AnalysisTest, DenseBindingCountedOncePerBinding) {
+  auto xm = std::make_shared<DenseMatrix>(data::GaussianMatrix(200, 10, 5));
+  for (size_t i = 0; i < xm->rows(); i += 3) xm->At(i, 0) = 0.0;
+  Environment env;
+  env["X"] = xm;
+  // A four-factor chain: the optimizer analyzes every X leaf to cost it.
+  const char* script = "t(X) %*% X %*% t(X) %*% X";
+  const uint64_t before = CounterValue("laopt.analysis.dense_nnz_scans");
+  for (int i = 0; i < 20; ++i) ASSERT_TRUE(EvalExpression(script, env).ok());
+  EXPECT_EQ(CounterValue("laopt.analysis.dense_nnz_scans") - before, 1u);
+}
+
+TEST(AnalysisTest, CopiesAndSlicesShareOneCount) {
+  auto m = std::make_shared<DenseMatrix>(10, 10);
+  for (size_t i = 0; i < 10; ++i) m->At(i, i) = 2.0;
+  const Operand bound(m);
+  const Operand copy = bound;
+  const Operand slice = copy.Slice(2, 5);
+
+  const uint64_t before = CounterValue("laopt.analysis.dense_nnz_scans");
+  // A row window reads its whole payload's count.
+  EXPECT_DOUBLE_EQ(slice.Sparsity(), 0.1);
+  EXPECT_DOUBLE_EQ(bound.Sparsity(), 0.1);
+  EXPECT_DOUBLE_EQ(copy.Sparsity(), 0.1);
+  EXPECT_DOUBLE_EQ(bound.Slice(0, 1).Sparsity(), 0.1);
+  EXPECT_EQ(CounterValue("laopt.analysis.dense_nnz_scans") - before, 1u);
+
+  // The first count wins: mutating the matrix in place leaves the binding's
+  // count alone, and a fresh Operand over the same matrix counts again.
+  m->At(0, 1) = 3.0;
+  EXPECT_DOUBLE_EQ(copy.Sparsity(), 0.1);
+  const Operand rebound(m);
+  EXPECT_DOUBLE_EQ(rebound.Sparsity(), 0.11);
+  EXPECT_EQ(CounterValue("laopt.analysis.dense_nnz_scans") - before, 2u);
+}
+
+TEST(AnalysisTest, ConcurrentFirstCountsAgree) {
+  auto m = std::make_shared<DenseMatrix>(data::GaussianMatrix(300, 40, 11));
+  for (size_t i = 0; i < m->size(); i += 4) m->data()[i] = 0.0;
+  const Operand bound(m);
+
+  ThreadPool pool(4);
+  constexpr size_t kTasks = 16;
+  std::vector<double> seen(kTasks, -1.0);
+  std::vector<std::future<void>> done;
+  for (size_t t = 0; t < kTasks; ++t) {
+    const Operand view = t % 2 == 0 ? bound : bound.Slice(t, t + 10);
+    done.push_back(pool.Submit([view, &seen, t] { seen[t] = view.Sparsity(); }));
+  }
+  for (auto& f : done) f.get();
+  for (const double s : seen) EXPECT_EQ(s, 0.75);
+}
+
+// One ridge-GD step of dmbench's script_gd workload, left-associated as a
+// DML user types it.
+constexpr const char* kRidgeStep =
+    "w - 0.00025 * (t(X) %*% X %*% w - t(X) %*% y) - 0.001 * w";
+
+// The optimizer analyzes the (t(X)·X)·w chain, replaces it with
+// t(X)·(X·w) and drops it; CSE then allocates fresh nodes. The analysis
+// holds every node it memoizes, so no fresh node can land on a dropped
+// node's address and inherit its 10x10 shape.
+TEST(AnalysisTest, CompileSurvivesDroppedRewriteTemporaries) {
+  Environment env;
+  env["X"] = std::make_shared<DenseMatrix>(data::GaussianMatrix(2000, 10, 7));
+  env["y"] = std::make_shared<DenseMatrix>(data::GaussianMatrix(2000, 1, 8));
+  env["w"] = std::make_shared<DenseMatrix>(data::GaussianMatrix(10, 1, 9));
+  auto expr = ParseExpression(kRidgeStep, env);
+  ASSERT_TRUE(expr.ok()) << expr.status().message();
+  auto reference = EvalExpression(kRidgeStep, env);
+  ASSERT_TRUE(reference.ok()) << reference.status().message();
+
+  const PipelineOptions options;
+  auto plan = CompilePlan(*expr, options);
+  ASSERT_TRUE(plan.ok()) << plan.status().message();
+  auto planned = Execute(*plan);
+  ASSERT_TRUE(planned.ok()) << planned.status().message();
+  EXPECT_TRUE(planned->ApproxEquals(*reference, 1e-12));
+
+  auto executed = CompileAndExecute(*expr, options);
+  ASSERT_TRUE(executed.ok()) << executed.status().message();
+  EXPECT_TRUE(executed->ApproxEquals(*reference, 1e-12));
 }
 
 TEST(AnalysisTest, RejectsMismatchedInnerDimensionsAtPlanTime) {

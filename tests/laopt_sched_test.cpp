@@ -409,6 +409,32 @@ TEST(LaoptSchedTest, ErrorsPropagateWithoutHanging) {
   EXPECT_TRUE(exec.Run(root).ok());
 }
 
+// Prepared plans are keyed by root address, so the executor holds every
+// root it prepared: a root the caller releases stays allocated until the
+// executor goes, and a later root can never reuse its address and be handed
+// its stale plan. Serial executors build no task graph, so nothing else
+// holds the nodes.
+TEST(LaoptSchedTest, PreparedPlansOwnTheirRoots) {
+  std::weak_ptr<const ExprNode> single;
+  std::weak_ptr<const ExprNode> fused;
+  {
+    BufferedExecutor exec;
+    {
+      const ExprPtr x = *ExprNode::Input(MakeDense(6, 4, 1.0), "X");
+      const ExprPtr gram = *ExprNode::MatMul(*ExprNode::Transpose(x), x);
+      const ExprPtr sums = *ExprNode::ColSums(x);
+      single = gram;
+      fused = sums;
+      ASSERT_TRUE(exec.Run(gram).ok());
+      ASSERT_TRUE(exec.RunMany({gram, sums}).ok());
+    }
+    EXPECT_FALSE(single.expired());
+    EXPECT_FALSE(fused.expired());
+  }
+  EXPECT_TRUE(single.expired());
+  EXPECT_TRUE(fused.expired());
+}
+
 TEST(LaoptSchedTest, WavefrontWidthReported) {
   // An 8-wide independent plan on a 4-thread pool should overlap node tasks;
   // the peak-width gauge is the bench's headline signal, so pin it here.
