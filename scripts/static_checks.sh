@@ -28,7 +28,9 @@
 #     laopt_verify_test, so the verifier, the lint rules, and the
 #     liveness-driven buffer sharing are exercised under TSan and ASan+UBSan,
 #     and modelsel_shared_test (the shared-scan rung engine's wide multi-root
-#     plans), each twice: default scheduling and DMML_INTER_NODE=1.
+#     plans), modelsel_test (grid search and batched training through that
+#     engine) and factorized_test (the windowed factorized products), each
+#     twice: default scheduling and DMML_INTER_NODE=1.
 #     pipeline_frontend_test (table -> join -> train through both physical
 #     routes) also runs under both sanitizers, plain and with
 #     DMML_VERIFY=1 DMML_INTER_NODE=1. laopt_analysis_test (the analyzer,
@@ -250,11 +252,12 @@ fi
 # ---------------------------------------------------------------------------
 run_sanitized_repr_gate() {
   local san="$1" dir="$2"
-  echo "static_checks: building laopt_repr_test + laopt_verify_test + laopt_sched_test + laopt_analysis_test + modelsel_shared_test + pipeline_frontend_test (DMML_SANITIZE=$san) in $dir..."
+  echo "static_checks: building laopt_repr_test + laopt_verify_test + laopt_sched_test + laopt_analysis_test + modelsel_shared_test + modelsel_test + factorized_test + pipeline_frontend_test (DMML_SANITIZE=$san) in $dir..."
   if cmake -B "$dir" -S "$repo_root" -DDMML_SANITIZE="$san" >/dev/null \
       && cmake --build "$dir" --target laopt_repr_test --target laopt_verify_test \
            --target laopt_sched_test --target laopt_analysis_test \
-           --target modelsel_shared_test \
+           --target modelsel_shared_test --target modelsel_test \
+           --target factorized_test \
            --target pipeline_frontend_test -j >/dev/null; then
     if "$dir/tests/laopt_repr_test" >/dev/null \
         && DMML_INTER_NODE=1 "$dir/tests/laopt_repr_test" >/dev/null; then
@@ -298,6 +301,18 @@ run_sanitized_repr_gate() {
       echo "static_checks: FAILED — modelsel_shared_test under $san" >&2
       status=1
     fi
+    # Every GLM caller trains through the rung engine's plans, and the
+    # factorized operand's ranged products feed its fold windows: the
+    # model-selection and factorized suites run plain and inter-node too.
+    for t in modelsel_test factorized_test; do
+      if "$dir/tests/$t" >/dev/null \
+          && DMML_INTER_NODE=1 "$dir/tests/$t" >/dev/null; then
+        echo "static_checks: $t clean under $san"
+      else
+        echo "static_checks: FAILED — $t under $san" >&2
+        status=1
+      fi
+    done
     # The pipeline front-end drives relational execution, both physical
     # routes (materialized bindings and the factorized operand) and the
     # trainers end to end; run plain and with the verifier plus inter-node

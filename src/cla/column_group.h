@@ -84,13 +84,13 @@ class ColumnGroup {
   /// `v` is the full-length (cols) vector, `y` has length `n` rows.
   void MultiplyVector(const double* v, double* y, size_t n) const {
     (void)n;
-    MultiplyVectorRange(v, nullptr, y, 0, n_);
+    MultiplyVectorRange(v, nullptr, y, 0, n_, 0);
   }
 
   /// \brief out[col] += Σ_i u[i] * value(i, col) for this group's columns.
   void VectorMultiply(const double* u, size_t n, double* out) const {
     (void)n;
-    VectorMultiplyRange(u, out, 0, n_);
+    VectorMultiplyRange(u, out, 0, n_, 0);
   }
 
   /// \brief y += (group block) · M for M of shape (total_cols x k); y is
@@ -141,8 +141,9 @@ class ColumnGroup {
   //
   // The row-addressed kernels take an additional `row_offset`
   // (<= row_begin): matrix row i maps to buffer row i - row_offset of the
-  // row-indexed output (DecompressRange, MultiplyMatrixRange) or of the
-  // row-indexed M operand (TransposeMultiplyMatrixRange). Passing 0 keeps
+  // row-indexed output (DecompressRange, MultiplyVectorRange,
+  // MultiplyMatrixRange) or of the row-indexed operand (VectorMultiplyRange,
+  // TransposeMultiplyMatrixRange). Passing 0 keeps
   // the classic full-height addressing; passing the window start lets a
   // (row_begin, row_end) window operate on window-sized buffers — the
   // contiguous-fold cross-validation hot path.
@@ -152,15 +153,18 @@ class ColumnGroup {
   virtual void DecompressRange(la::DenseMatrix* out, size_t row_begin,
                                size_t row_end, size_t row_offset) const = 0;
 
-  /// \brief y[i] += (row i of the group block) · v for i in range.
+  /// \brief y[i - row_offset] += (row i of the group block) · v for i in
+  /// range.
   virtual void MultiplyVectorRange(const double* v, const double* preagg,
-                                   double* y, size_t row_begin,
-                                   size_t row_end) const = 0;
+                                   double* y, size_t row_begin, size_t row_end,
+                                   size_t row_offset) const = 0;
 
-  /// \brief out[col] += Σ_{i in range} u[i] * value(i, col). `out` is a
-  /// full-width (total cols) buffer — typically a per-chunk partial.
+  /// \brief out[col] += Σ_{i in range} u[i - row_offset] * value(i, col).
+  /// `out` is a full-width (total cols) buffer — typically a per-chunk
+  /// partial.
   virtual void VectorMultiplyRange(const double* u, double* out,
-                                   size_t row_begin, size_t row_end) const = 0;
+                                   size_t row_begin, size_t row_end,
+                                   size_t row_offset) const = 0;
 
   /// \brief y->Row(i - row_offset) += (row i of the group block) · M for i in
   /// range.

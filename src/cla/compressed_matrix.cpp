@@ -113,8 +113,7 @@ constexpr size_t kRowGrain = 2048;
 // same (block x k) output window before moving on, so the window stays cache
 // resident instead of the whole (chunk x k) output streaming once per group.
 // Per output element the group accumulation order is unchanged, so blocking
-// is bit-exact; the size is fixed (k-independent) so wide and width-1 runs
-// chunk identically.
+// is bit-exact.
 constexpr size_t kMatrixRowBlock = 256;
 
 // Sentinel offset for groups without a dictionary (UC, empty OLE).
@@ -384,24 +383,7 @@ Status CompressedMatrix::MultiplyVectorInto(const DenseMatrix& v,
   }
   DMML_TRACE_SPAN("cla.matvec");
   DMML_COUNTER_INC("cla.matvec_calls");
-  EnsureClaOut(out, rows_, 1);
-  const double* vd = v.data();
-  double* y = out->data();
-  const double* pre = ComputePreaggs(
-      groups_, 1, pool,
-      [&](const ColumnGroup& g, double* dst) { g.PreaggregateVector(vd, dst); });
-  const auto& off = t_scratch.preagg_off;
-  const size_t chunks = ParallelChunkCount(pool, rows_, kRowGrain);
-  ParallelForChunks(pool, rows_, kRowGrain,
-                    [&](size_t, size_t begin, size_t end) {
-    std::fill(y + begin, y + end, 0.0);
-    for (size_t g = 0; g < groups_.size(); ++g) {
-      groups_[g]->MultiplyVectorRange(
-          vd, off[g] == kNoPreagg ? nullptr : pre + off[g], y, begin, end);
-    }
-  });
-  CountRangedCalls(chunks, groups_.size());
-  return Status::OK();
+  return MultiplyMatrixRangeInto(v, 0, rows_, out, pool);
 }
 
 Status CompressedMatrix::VectorMultiplyInto(const DenseMatrix& u,
@@ -410,59 +392,15 @@ Status CompressedMatrix::VectorMultiplyInto(const DenseMatrix& u,
   if (u.rows() != rows_ || u.cols() != 1) {
     return Status::InvalidArgument("VectorMultiply expects a (rows x 1) vector");
   }
-  EnsureClaOut(out, 1, cols_);
-  const double* ud = u.data();
-  double* y = out->data();
-  const size_t chunks = ParallelChunkCount(pool, rows_, kRowGrain);
-  if (chunks <= 1) {
-    std::fill(y, y + cols_, 0.0);
-    for (const auto& g : groups_) g->VectorMultiplyRange(ud, y, 0, rows_);
-    return Status::OK();
-  }
-  // Per-chunk private partial rows, reduced serially — no atomics.
-  double* partials = PartialBuffer(chunks * cols_);
-  ParallelForChunks(pool, rows_, kRowGrain,
-                    [&](size_t chunk, size_t begin, size_t end) {
-    double* p = partials + chunk * cols_;
-    std::fill(p, p + cols_, 0.0);
-    for (const auto& g : groups_) g->VectorMultiplyRange(ud, p, begin, end);
-  });
-  std::fill(y, y + cols_, 0.0);
-  for (size_t c = 0; c < chunks; ++c) {
-    const double* p = partials + c * cols_;
-    for (size_t j = 0; j < cols_; ++j) y[j] += p[j];
-  }
-  DMML_COUNTER_INC("cla.ops.partial_reductions");
-  CountRangedCalls(chunks, groups_.size());
+  DMML_RETURN_IF_ERROR(TransposeMultiplyMatrixRangeInto(u, 0, rows_, out, pool));
+  out->Reshape(1, cols_);  // Same contiguous values as the cols x 1 form.
   return Status::OK();
 }
 
 Status CompressedMatrix::MultiplyMatrixInto(const DenseMatrix& m,
                                             DenseMatrix* out,
                                             ThreadPool* pool) const {
-  if (m.rows() != cols_) {
-    return Status::InvalidArgument("MultiplyMatrix expects a (cols x k) matrix");
-  }
-  const size_t k = m.cols();
-  EnsureClaOut(out, rows_, k);
-  const double* pre = ComputePreaggs(
-      groups_, k, pool,
-      [&](const ColumnGroup& g, double* dst) { g.PreaggregateMatrix(m, dst); });
-  const auto& off = t_scratch.preagg_off;
-  const size_t chunks = ParallelChunkCount(pool, rows_, kRowGrain);
-  ParallelForChunks(pool, rows_, kRowGrain,
-                    [&](size_t, size_t begin, size_t end) {
-    for (size_t b = begin; b < end; b += kMatrixRowBlock) {
-      const size_t e = std::min(end, b + kMatrixRowBlock);
-      std::fill(out->Row(b), out->Row(b) + (e - b) * k, 0.0);
-      for (size_t g = 0; g < groups_.size(); ++g) {
-        groups_[g]->MultiplyMatrixRange(
-            m, off[g] == kNoPreagg ? nullptr : pre + off[g], out, b, e, 0);
-      }
-    }
-  });
-  CountRangedCalls(chunks, groups_.size());
-  return Status::OK();
+  return MultiplyMatrixRangeInto(m, 0, rows_, out, pool);
 }
 
 Status CompressedMatrix::MultiplyMatrixRangeInto(const DenseMatrix& m,
@@ -479,13 +417,32 @@ Status CompressedMatrix::MultiplyMatrixRangeInto(const DenseMatrix& m,
   const size_t k = m.cols();
   const size_t range = row_end - row_begin;
   EnsureClaOut(out, range, k);
-  const double* pre = ComputePreaggs(
-      groups_, k, pool,
-      [&](const ColumnGroup& g, double* dst) { g.PreaggregateMatrix(m, dst); });
+  // One column is the matrix-vector product: one lookup per row into each
+  // group's dictionary pre-aggregated against the vector. Wider M walks
+  // fixed row sub-blocks with k-wide row updates.
+  const double* pre =
+      k == 1 ? ComputePreaggs(groups_, 1, pool,
+                              [&](const ColumnGroup& g, double* dst) {
+                                g.PreaggregateVector(m.data(), dst);
+                              })
+             : ComputePreaggs(groups_, k, pool,
+                              [&](const ColumnGroup& g, double* dst) {
+                                g.PreaggregateMatrix(m, dst);
+                              });
   const auto& off = t_scratch.preagg_off;
   const size_t chunks = ParallelChunkCount(pool, range, kRowGrain);
   ParallelForChunks(pool, range, kRowGrain,
                     [&](size_t, size_t begin, size_t end) {
+    if (k == 1) {
+      double* y = out->data();
+      std::fill(y + begin, y + end, 0.0);
+      for (size_t g = 0; g < groups_.size(); ++g) {
+        groups_[g]->MultiplyVectorRange(
+            m.data(), off[g] == kNoPreagg ? nullptr : pre + off[g], y,
+            row_begin + begin, row_begin + end, row_begin);
+      }
+      return;
+    }
     for (size_t b = begin; b < end; b += kMatrixRowBlock) {
       const size_t e = std::min(end, b + kMatrixRowBlock);
       std::fill(out->Row(b), out->Row(b) + (e - b) * k, 0.0);
@@ -503,50 +460,7 @@ Status CompressedMatrix::MultiplyMatrixRangeInto(const DenseMatrix& m,
 Status CompressedMatrix::TransposeMultiplyMatrixInto(const DenseMatrix& m,
                                                      DenseMatrix* out,
                                                      ThreadPool* pool) const {
-  if (m.rows() != rows_) {
-    return Status::InvalidArgument("TransposeMultiplyMatrix expects a (rows x k) matrix");
-  }
-  const size_t k = m.cols();
-  EnsureClaOut(out, cols_, k);
-  double* y = out->data();
-  const size_t chunks = ParallelChunkCount(pool, rows_, kRowGrain);
-  // Row sub-blocks with the groups loop inner: every group reads the same
-  // (block x k) window of m while it is cache resident, instead of each group
-  // streaming the whole operand. The accumulator is expanded per block rather
-  // than per chunk — a bracketing change within the usual FP tolerance — and
-  // the block size is fixed (k-independent), so k-wide and width-1 runs sum
-  // in identical order.
-  if (chunks <= 1) {
-    std::fill(y, y + cols_ * k, 0.0);
-    for (size_t b = 0; b < rows_; b += kMatrixRowBlock) {
-      const size_t e = std::min(rows_, b + kMatrixRowBlock);
-      for (const auto& g : groups_) {
-        g->TransposeMultiplyMatrixRange(m, y, b, e, 0);
-      }
-    }
-    return Status::OK();
-  }
-  // Per-chunk private (cols x k) partials, reduced serially — no atomics.
-  double* partials = PartialBuffer(chunks * cols_ * k);
-  ParallelForChunks(pool, rows_, kRowGrain,
-                    [&](size_t chunk, size_t begin, size_t end) {
-    double* p = partials + chunk * cols_ * k;
-    std::fill(p, p + cols_ * k, 0.0);
-    for (size_t b = begin; b < end; b += kMatrixRowBlock) {
-      const size_t e = std::min(end, b + kMatrixRowBlock);
-      for (const auto& g : groups_) {
-        g->TransposeMultiplyMatrixRange(m, p, b, e, 0);
-      }
-    }
-  });
-  std::fill(y, y + cols_ * k, 0.0);
-  for (size_t c = 0; c < chunks; ++c) {
-    const double* p = partials + c * cols_ * k;
-    for (size_t j = 0; j < cols_ * k; ++j) y[j] += p[j];
-  }
-  DMML_COUNTER_INC("cla.ops.partial_reductions");
-  CountRangedCalls(chunks, groups_.size());
-  return Status::OK();
+  return TransposeMultiplyMatrixRangeInto(m, 0, rows_, out, pool);
 }
 
 Status CompressedMatrix::TransposeMultiplyMatrixRangeInto(const DenseMatrix& m,
@@ -565,30 +479,32 @@ Status CompressedMatrix::TransposeMultiplyMatrixRangeInto(const DenseMatrix& m,
   const size_t k = m.cols();
   EnsureClaOut(out, cols_, k);
   double* y = out->data();
-  const size_t chunks = ParallelChunkCount(pool, range, kRowGrain);
-  if (chunks <= 1) {
-    std::fill(y, y + cols_ * k, 0.0);
-    for (size_t b = 0; b < range; b += kMatrixRowBlock) {
-      const size_t e = std::min(range, b + kMatrixRowBlock);
-      for (const auto& g : groups_) {
-        g->TransposeMultiplyMatrixRange(m, y, row_begin + b, row_begin + e,
-                                        row_begin);
+  // Accumulates window rows [begin, end) into a zeroed (cols x k) buffer,
+  // one call per group. One column runs the groups' vector kernels, which
+  // sum each column in the order the k-wide kernels do, so a k-wide product
+  // is bit-equal per column to k one-column products.
+  auto accumulate = [&](size_t begin, size_t end, double* p) {
+    std::fill(p, p + cols_ * k, 0.0);
+    for (const auto& g : groups_) {
+      if (k == 1) {
+        g->VectorMultiplyRange(m.data(), p, row_begin + begin, row_begin + end,
+                               row_begin);
+      } else {
+        g->TransposeMultiplyMatrixRange(m, p, row_begin + begin,
+                                        row_begin + end, row_begin);
       }
     }
+  };
+  const size_t chunks = ParallelChunkCount(pool, range, kRowGrain);
+  if (chunks <= 1) {
+    accumulate(0, range, y);
     return Status::OK();
   }
+  // Per-chunk private (cols x k) partials, reduced serially — no atomics.
   double* partials = PartialBuffer(chunks * cols_ * k);
   ParallelForChunks(pool, range, kRowGrain,
                     [&](size_t chunk, size_t begin, size_t end) {
-    double* p = partials + chunk * cols_ * k;
-    std::fill(p, p + cols_ * k, 0.0);
-    for (size_t b = begin; b < end; b += kMatrixRowBlock) {
-      const size_t e = std::min(end, b + kMatrixRowBlock);
-      for (const auto& g : groups_) {
-        g->TransposeMultiplyMatrixRange(m, p, row_begin + b, row_begin + e,
-                                        row_begin);
-      }
-    }
+    accumulate(begin, end, partials + chunk * cols_ * k);
   });
   std::fill(y, y + cols_ * k, 0.0);
   for (size_t c = 0; c < chunks; ++c) {

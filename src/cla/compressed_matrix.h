@@ -75,7 +75,8 @@ class CompressedMatrix {
 
   // ---------------------------------------------------------------------
   // Allocation-free ops: `out` is reshaped in place (reuse counted in
-  // cla.inplace.reuses / allocs) and fully overwritten.
+  // cla.inplace.reuses / allocs) and fully overwritten. The four products
+  // are the [0, rows) windows of the row-windowed forms below.
   // ---------------------------------------------------------------------
 
   /// \brief out = X · v for v of shape (cols x 1); out becomes (rows x 1).
@@ -107,13 +108,18 @@ class CompressedMatrix {
   // ---------------------------------------------------------------------
 
   /// \brief out = X[row_begin:row_end) · M for M of shape (cols x k); out
-  /// becomes ((row_end-row_begin) x k).
+  /// becomes ((row_end-row_begin) x k). k = 1 runs the groups' matrix-vector
+  /// kernels (one dictionary lookup per row); wider M runs their k-wide
+  /// kernels over fixed row sub-blocks.
   Status MultiplyMatrixRangeInto(const la::DenseMatrix& m, size_t row_begin,
                                  size_t row_end, la::DenseMatrix* out,
                                  ThreadPool* pool = nullptr) const;
 
   /// \brief out = X[row_begin:row_end)ᵀ · M for window-relative M of shape
-  /// ((row_end-row_begin) x k); out becomes (cols x k).
+  /// ((row_end-row_begin) x k); out becomes (cols x k). Each chunk of rows
+  /// calls every group once: k = 1 runs the groups' vector-matrix kernels,
+  /// which sum a column in the order the k-wide kernels do, so a k-wide
+  /// product is bit-equal per column to k one-column products.
   Status TransposeMultiplyMatrixRangeInto(const la::DenseMatrix& m,
                                           size_t row_begin, size_t row_end,
                                           la::DenseMatrix* out,

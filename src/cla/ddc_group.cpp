@@ -50,17 +50,19 @@ void DdcGroup::DecompressRange(la::DenseMatrix* out, size_t row_begin,
 }
 
 void DdcGroup::MultiplyVectorRange(const double* v, const double* preagg,
-                                   double* y, size_t row_begin,
-                                   size_t row_end) const {
+                                   double* y, size_t row_begin, size_t row_end,
+                                   size_t row_offset) const {
   // Dictionary pre-aggregated against v once (O(card * w)), then one table
   // lookup per row.
   const double* p = EnsureVectorPreagg(v, preagg);
-  codes_.ForEach(row_begin, row_end,
-                 [&](size_t i, uint32_t code) { y[i] += p[code]; });
+  codes_.ForEach(row_begin, row_end, [&](size_t i, uint32_t code) {
+    y[i - row_offset] += p[code];
+  });
 }
 
 void DdcGroup::VectorMultiplyRange(const double* u, double* out,
-                                   size_t row_begin, size_t row_end) const {
+                                   size_t row_begin, size_t row_end,
+                                   size_t row_offset) const {
   const size_t w = columns_.size();
   const size_t entries = dict_.num_entries();
   const size_t range = row_end - row_begin;
@@ -68,7 +70,7 @@ void DdcGroup::VectorMultiplyRange(const double* u, double* out,
     // Huge dictionaries (cardinality near n): zeroing + expanding a
     // dictionary-sized accumulator costs more than the rows themselves.
     codes_.ForEach(row_begin, row_end, [&](size_t i, uint32_t code) {
-      const double ui = u[i];
+      const double ui = u[i - row_offset];
       if (ui == 0.0) return;
       const double* entry = dict_.Entry(code);
       for (size_t j = 0; j < w; ++j) out[columns_[j]] += ui * entry[j];
@@ -79,8 +81,9 @@ void DdcGroup::VectorMultiplyRange(const double* u, double* out,
   // over the codes with no per-row indirection into `out`.
   double* acc = CodeScratch(entries);
   std::fill(acc, acc + entries, 0.0);
-  codes_.ForEach(row_begin, row_end,
-                 [&](size_t i, uint32_t code) { acc[code] += u[i]; });
+  codes_.ForEach(row_begin, row_end, [&](size_t i, uint32_t code) {
+    acc[code] += u[i - row_offset];
+  });
   if (w == 1) {
     // Single-column fast path: one dot product dictionary ⋅ partials.
     const double* dict = dict_.values.data();

@@ -108,26 +108,27 @@ void OleGroup::DecompressRange(la::DenseMatrix* out, size_t row_begin,
 }
 
 void OleGroup::MultiplyVectorRange(const double* v, const double* preagg,
-                                   double* y, size_t row_begin,
-                                   size_t row_end) const {
+                                   double* y, size_t row_begin, size_t row_end,
+                                   size_t row_offset) const {
   const double* p = EnsureVectorPreagg(v, preagg);
   for (size_t e = 0; e < dict_.num_entries(); ++e) {
     const double add = p[e];
     if (add == 0.0) continue;
     size_t begin, end;
     EntrySlice(e, row_begin, row_end, &begin, &end);
-    for (size_t q = begin; q < end; ++q) y[offset_data_[q]] += add;
+    for (size_t q = begin; q < end; ++q) y[offset_data_[q] - row_offset] += add;
   }
 }
 
 void OleGroup::VectorMultiplyRange(const double* u, double* out,
-                                   size_t row_begin, size_t row_end) const {
+                                   size_t row_begin, size_t row_end,
+                                   size_t row_offset) const {
   const size_t w = columns_.size();
   for (size_t e = 0; e < dict_.num_entries(); ++e) {
     size_t begin, end;
     EntrySlice(e, row_begin, row_end, &begin, &end);
     double acc = 0;
-    for (size_t q = begin; q < end; ++q) acc += u[offset_data_[q]];
+    for (size_t q = begin; q < end; ++q) acc += u[offset_data_[q] - row_offset];
     if (acc == 0.0) continue;
     const double* entry = dict_.Entry(e);
     for (size_t j = 0; j < w; ++j) out[columns_[j]] += acc * entry[j];

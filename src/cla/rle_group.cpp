@@ -96,8 +96,8 @@ void RleGroup::DecompressRange(la::DenseMatrix* out, size_t row_begin,
 }
 
 void RleGroup::MultiplyVectorRange(const double* v, const double* preagg,
-                                   double* y, size_t row_begin,
-                                   size_t row_end) const {
+                                   double* y, size_t row_begin, size_t row_end,
+                                   size_t row_offset) const {
   const double* p = EnsureVectorPreagg(v, preagg);
   for (size_t r = FirstRunReaching(row_begin); r < runs_.size(); ++r) {
     const Run& run = runs_[r];
@@ -106,13 +106,17 @@ void RleGroup::MultiplyVectorRange(const double* v, const double* preagg,
     if (add == 0.0) continue;
     const size_t lo = std::max<size_t>(run.start, row_begin);
     const size_t hi = std::min<size_t>(run.start + run.length, row_end);
-    for (size_t i = lo; i < hi; ++i) y[i] += add;
+    for (size_t i = lo; i < hi; ++i) y[i - row_offset] += add;
   }
 }
 
 void RleGroup::VectorMultiplyRange(const double* u, double* out,
-                                   size_t row_begin, size_t row_end) const {
-  // Per-entry accumulation of u over each clipped run, then one expand.
+                                   size_t row_begin, size_t row_end,
+                                   size_t row_offset) const {
+  // Per-entry accumulation of u over each clipped run, then one expand. A
+  // run's rows add straight onto its entry's sum, in the order the k-wide
+  // TransposeMultiplyMatrixRange adds them, so one column rounds alike on
+  // both kernels.
   const size_t entries = dict_.num_entries();
   double* acc = RleScratch(entries);
   std::fill(acc, acc + entries, 0.0);
@@ -121,9 +125,9 @@ void RleGroup::VectorMultiplyRange(const double* u, double* out,
     if (run.start >= row_end) break;
     const size_t lo = std::max<size_t>(run.start, row_begin);
     const size_t hi = std::min<size_t>(run.start + run.length, row_end);
-    double s = 0;
-    for (size_t i = lo; i < hi; ++i) s += u[i];
-    acc[run.code] += s;
+    double s = acc[run.code];
+    for (size_t i = lo; i < hi; ++i) s += u[i - row_offset];
+    acc[run.code] = s;
   }
   const size_t w = columns_.size();
   for (size_t e = 0; e < entries; ++e) {

@@ -33,9 +33,10 @@ class RleGroup : public ColumnGroup {
   void DecompressRange(la::DenseMatrix* out, size_t row_begin, size_t row_end,
                        size_t row_offset) const override;
   void MultiplyVectorRange(const double* v, const double* preagg, double* y,
-                           size_t row_begin, size_t row_end) const override;
+                           size_t row_begin, size_t row_end,
+                           size_t row_offset) const override;
   void VectorMultiplyRange(const double* u, double* out, size_t row_begin,
-                           size_t row_end) const override;
+                           size_t row_end, size_t row_offset) const override;
   void MultiplyMatrixRange(const la::DenseMatrix& m, const double* preagg,
                            la::DenseMatrix* y, size_t row_begin,
                            size_t row_end, size_t row_offset) const override;

@@ -31,23 +31,23 @@ void UncompressedGroup::DecompressRange(la::DenseMatrix* out, size_t row_begin,
 
 void UncompressedGroup::MultiplyVectorRange(const double* v,
                                             const double* preagg, double* y,
-                                            size_t row_begin,
-                                            size_t row_end) const {
+                                            size_t row_begin, size_t row_end,
+                                            size_t row_offset) const {
   (void)preagg;  // No dictionary to pre-aggregate.
   const size_t w = columns_.size();
   for (size_t i = row_begin; i < row_end; ++i) {
     double acc = 0;
     for (size_t j = 0; j < w; ++j) acc += data_[i * w + j] * v[columns_[j]];
-    y[i] += acc;
+    y[i - row_offset] += acc;
   }
 }
 
 void UncompressedGroup::VectorMultiplyRange(const double* u, double* out,
-                                            size_t row_begin,
-                                            size_t row_end) const {
+                                            size_t row_begin, size_t row_end,
+                                            size_t row_offset) const {
   const size_t w = columns_.size();
   for (size_t i = row_begin; i < row_end; ++i) {
-    const double ui = u[i];
+    const double ui = u[i - row_offset];
     if (ui == 0.0) continue;
     for (size_t j = 0; j < w; ++j) out[columns_[j]] += ui * data_[i * w + j];
   }

@@ -7,13 +7,16 @@
 namespace dmml::factorized {
 
 Result<la::DenseMatrix> NormalizedOperand::Multiply(const la::DenseMatrix& m,
+                                                    size_t row_begin,
+                                                    size_t row_end,
                                                     ThreadPool* /*pool*/) const {
-  return m_->Multiply(m);
+  return m_->Multiply(m, row_begin, row_end);
 }
 
 Result<la::DenseMatrix> NormalizedOperand::TransposeMultiply(
-    const la::DenseMatrix& m, ThreadPool* /*pool*/) const {
-  return m_->TransposeMultiply(m);
+    const la::DenseMatrix& m, size_t row_begin, size_t row_end,
+    ThreadPool* /*pool*/) const {
+  return m_->TransposeMultiply(m, row_begin, row_end);
 }
 
 Result<la::DenseMatrix> NormalizedOperand::Gram(ThreadPool* /*pool*/) const {

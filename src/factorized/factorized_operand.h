@@ -30,11 +30,15 @@ class NormalizedOperand : public laopt::LinearOperator {
   size_t rows() const override { return m_->rows(); }
   size_t cols() const override { return m_->cols(); }
 
-  /// T·m — factorized LMM (per-table products gathered through the keys).
-  Result<la::DenseMatrix> Multiply(const la::DenseMatrix& m,
+  /// T[b:e)·m — factorized LMM (per-table products gathered through the
+  /// keys of the window's fact rows).
+  Result<la::DenseMatrix> Multiply(const la::DenseMatrix& m, size_t row_begin,
+                                   size_t row_end,
                                    ThreadPool* pool) const override;
-  /// Tᵀ·m — factorized RMM (group-accumulate by fk, then per-table).
+  /// T[b:e)ᵀ·m — factorized RMM (group-accumulate the window by fk, then
+  /// per-table).
   Result<la::DenseMatrix> TransposeMultiply(const la::DenseMatrix& m,
+                                            size_t row_begin, size_t row_end,
                                             ThreadPool* pool) const override;
   /// TᵀT — the Orion cofactor block decomposition.
   Result<la::DenseMatrix> Gram(ThreadPool* pool) const override;

@@ -1,5 +1,7 @@
 #include "factorized/normalized_matrix.h"
 
+#include <string>
+
 #include "la/kernels.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -10,26 +12,38 @@ using la::DenseMatrix;
 
 namespace {
 
-// Multiplying through the normalized form touches each attribute row once
-// instead of once per referencing entity row; the difference against the
-// materialized product is the redundancy the factorization avoided.
-void RecordAvoidedFlops(const NormalizedMatrix& t, size_t k) {
-  double materialized = 2.0 * static_cast<double>(t.rows()) *
+// Multiplying a window of `rows` fact rows through the normalized form
+// touches each attribute row once instead of once per referencing fact row;
+// the difference against the materialized product is the redundancy the
+// factorization avoided.
+void RecordAvoidedFlops(const NormalizedMatrix& t, size_t rows, size_t k) {
+  double materialized = 2.0 * static_cast<double>(rows) *
                         static_cast<double>(t.cols()) * static_cast<double>(k);
-  double factorized = 2.0 * static_cast<double>(t.rows()) *
+  double factorized = 2.0 * static_cast<double>(rows) *
                       static_cast<double>(t.entity_features().cols()) *
                       static_cast<double>(k);
   for (const auto& tab : t.tables()) {
     factorized += 2.0 * static_cast<double>(tab.features.rows()) *
                   static_cast<double>(tab.features.cols()) *
                   static_cast<double>(k);
-    // The per-row gather/scatter of the (nS x k) partials.
-    factorized += 2.0 * static_cast<double>(t.rows()) * static_cast<double>(k);
+    // The per-row gather/scatter of the (rows x k) partials.
+    factorized += 2.0 * static_cast<double>(rows) * static_cast<double>(k);
   }
   if (materialized > factorized) {
     DMML_COUNTER_ADD("factorized.flops_avoided",
                      static_cast<uint64_t>(materialized - factorized));
   }
+}
+
+Status CheckWindow(const char* op, size_t row_begin, size_t row_end,
+                   size_t rows) {
+  if (row_begin > row_end || row_end > rows) {
+    return Status::InvalidArgument(std::string(op) + ": bad row window [" +
+                                   std::to_string(row_begin) + ", " +
+                                   std::to_string(row_end) + ") of " +
+                                   std::to_string(rows) + " rows");
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -70,32 +84,40 @@ Result<NormalizedMatrix> NormalizedMatrix::Make(DenseMatrix entity_features,
 }
 
 Result<DenseMatrix> NormalizedMatrix::Multiply(const DenseMatrix& m) const {
+  return Multiply(m, 0, rows_);
+}
+
+Result<DenseMatrix> NormalizedMatrix::Multiply(const DenseMatrix& m,
+                                               size_t row_begin,
+                                               size_t row_end) const {
   if (m.rows() != cols_) {
     return Status::InvalidArgument("Multiply: operand has " + std::to_string(m.rows()) +
                                    " rows, expected " + std::to_string(cols_));
   }
-  const size_t k = m.cols();
+  DMML_RETURN_IF_ERROR(CheckWindow("Multiply", row_begin, row_end, rows_));
+  const size_t k = m.cols(), range = row_end - row_begin;
   DMML_TRACE_SPAN("factorized.multiply");
   DMML_COUNTER_INC("factorized.multiply_calls");
-  RecordAvoidedFlops(*this, k);
-  DenseMatrix out(rows_, k);
+  RecordAvoidedFlops(*this, range, k);
+  DenseMatrix out(range, k);
 
-  // Entity block: XS * M_S (standard dense product).
+  // Entity block: XS[b:e) * M_S, the ranged dense product over the window.
   size_t offset = 0;
   const size_t ds = entity_.cols();
   if (ds > 0) {
     DenseMatrix ms = m.SliceRows(0, ds);
-    out = la::Multiply(entity_, ms);
+    la::MultiplyRangeInto(entity_, row_begin, row_end, ms, &out);
     offset = ds;
   }
 
-  // Attribute blocks: compute XR_i * M_i once per distinct rid, then gather.
+  // Attribute blocks: compute XR_i * M_i once per distinct rid, then gather
+  // through the window's keys.
   for (const auto& tab : tables_) {
     const size_t dr = tab.features.cols();
     DenseMatrix mi = m.SliceRows(offset, offset + dr);
     DenseMatrix partial = la::Multiply(tab.features, mi);  // nR x k
-    for (size_t i = 0; i < rows_; ++i) {
-      la::Axpy(1.0, partial.Row(tab.fk[i]), out.Row(i), k);
+    for (size_t i = row_begin; i < row_end; ++i) {
+      la::Axpy(1.0, partial.Row(tab.fk[i]), out.Row(i - row_begin), k);
     }
     offset += dr;
   }
@@ -103,24 +125,32 @@ Result<DenseMatrix> NormalizedMatrix::Multiply(const DenseMatrix& m) const {
 }
 
 Result<DenseMatrix> NormalizedMatrix::TransposeMultiply(const DenseMatrix& m) const {
-  if (m.rows() != rows_) {
+  return TransposeMultiply(m, 0, rows_);
+}
+
+Result<DenseMatrix> NormalizedMatrix::TransposeMultiply(const DenseMatrix& m,
+                                                        size_t row_begin,
+                                                        size_t row_end) const {
+  DMML_RETURN_IF_ERROR(CheckWindow("TransposeMultiply", row_begin, row_end, rows_));
+  const size_t range = row_end - row_begin;
+  if (m.rows() != range) {
     return Status::InvalidArgument("TransposeMultiply: operand has " +
                                    std::to_string(m.rows()) + " rows, expected " +
-                                   std::to_string(rows_));
+                                   std::to_string(range));
   }
   const size_t k = m.cols();
   DMML_TRACE_SPAN("factorized.transpose_multiply");
   DMML_COUNTER_INC("factorized.multiply_calls");
-  RecordAvoidedFlops(*this, k);
+  RecordAvoidedFlops(*this, range, k);
   DenseMatrix out(cols_, k);
 
-  // Entity block: XSᵀ * M.
+  // Entity block: XS[b:e)ᵀ * M.
   size_t offset = 0;
   const size_t ds = entity_.cols();
   if (ds > 0) {
-    for (size_t i = 0; i < rows_; ++i) {
+    for (size_t i = row_begin; i < row_end; ++i) {
       const double* xs = entity_.Row(i);
-      const double* mrow = m.Row(i);
+      const double* mrow = m.Row(i - row_begin);
       for (size_t j = 0; j < ds; ++j) {
         la::Axpy(xs[j], mrow, out.Row(j), k);
       }
@@ -128,13 +158,14 @@ Result<DenseMatrix> NormalizedMatrix::TransposeMultiply(const DenseMatrix& m) co
     offset = ds;
   }
 
-  // Attribute blocks: group-accumulate m by fk, then XR_iᵀ * grouped.
+  // Attribute blocks: group-accumulate the window's rows of m by fk, then
+  // XR_iᵀ * grouped.
   for (const auto& tab : tables_) {
     const size_t nr = tab.features.rows();
     const size_t dr = tab.features.cols();
     DenseMatrix grouped(nr, k);
-    for (size_t i = 0; i < rows_; ++i) {
-      la::Axpy(1.0, m.Row(i), grouped.Row(tab.fk[i]), k);
+    for (size_t i = row_begin; i < row_end; ++i) {
+      la::Axpy(1.0, m.Row(i - row_begin), grouped.Row(tab.fk[i]), k);
     }
     // XR_iᵀ (dr x nr) * grouped (nr x k) without forming the transpose.
     for (size_t r = 0; r < nr; ++r) {

@@ -58,8 +58,21 @@ class NormalizedMatrix {
   /// \brief T · m for m of shape (cols() x k). Factorized LMM.
   Result<la::DenseMatrix> Multiply(const la::DenseMatrix& m) const;
 
+  /// \brief T[row_begin:row_end) · m: the LMM over a window of fact rows,
+  /// (row_end - row_begin) x k. The window slices XS and the foreign keys;
+  /// each attribute product XR_i · M_i still covers the whole table.
+  Result<la::DenseMatrix> Multiply(const la::DenseMatrix& m, size_t row_begin,
+                                   size_t row_end) const;
+
   /// \brief Tᵀ · m for m of shape (rows() x k). Factorized RMM.
   Result<la::DenseMatrix> TransposeMultiply(const la::DenseMatrix& m) const;
+
+  /// \brief T[row_begin:row_end)ᵀ · m for window-relative m of shape
+  /// ((row_end - row_begin) x k): the RMM over a window of fact rows, which
+  /// group-accumulates only the window's rows by fk.
+  Result<la::DenseMatrix> TransposeMultiply(const la::DenseMatrix& m,
+                                            size_t row_begin,
+                                            size_t row_end) const;
 
   /// \brief Per-row sums of squared entries (rows() x 1), computed
   /// factorized — needed by k-means distance computations.

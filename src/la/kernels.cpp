@@ -599,26 +599,6 @@ DenseMatrix ElementwiseMultiply(const DenseMatrix& a, const DenseMatrix& b) {
   return c;
 }
 
-void ScaleColumnsInto(const DenseMatrix& a, const DenseMatrix& s,
-                      DenseMatrix* out) {
-  DMML_CHECK_EQ(s.rows(), size_t{1});
-  DMML_CHECK_EQ(s.cols(), a.cols());
-  EnsureOut(out, a.rows(), a.cols());
-  const size_t n = a.cols();
-  const double* sv = s.data();
-  for (size_t i = 0; i < a.rows(); ++i) {
-    const double* arow = a.Row(i);
-    double* crow = out->Row(i);
-    for (size_t j = 0; j < n; ++j) crow[j] = arow[j] * sv[j];
-  }
-}
-
-DenseMatrix ScaleColumns(const DenseMatrix& a, const DenseMatrix& s) {
-  DenseMatrix c;
-  ScaleColumnsInto(a, s, &c);
-  return c;
-}
-
 void ScaleInto(const DenseMatrix& a, double alpha, DenseMatrix* out) {
   EnsureOut(out, a.rows(), a.cols());
   const double* pa = a.data();
@@ -781,20 +761,7 @@ size_t SparseRowWork(const SparseMatrix& a) {
 void SparseGemvInto(const SparseMatrix& a, const DenseMatrix& x,
                     DenseMatrix* out, ThreadPool* pool) {
   DMML_CHECK(x.cols() == 1);
-  DMML_CHECK_EQ(a.cols(), x.rows());
-  EnsureOut(out, a.rows(), 1);
-  DenseMatrix& y = *out;
-  const double* xv = x.data();
-  ParallelForChunks(pool, a.rows(), GrainFor(SparseRowWork(a)),
-                    [&](size_t, size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      double acc = 0.0;
-      for (size_t k = a.RowBegin(i); k < a.RowEnd(i); ++k) {
-        acc += a.values()[k] * xv[a.col_idx()[k]];
-      }
-      y.At(i, 0) = acc;
-    }
-  });
+  SparseMultiplyDenseRangeInto(a, 0, a.rows(), x, out, pool);
 }
 
 DenseMatrix SparseGemv(const SparseMatrix& a, const DenseMatrix& x,
@@ -807,19 +774,8 @@ DenseMatrix SparseGemv(const SparseMatrix& a, const DenseMatrix& x,
 void SparseGevmInto(const DenseMatrix& x, const SparseMatrix& a,
                     DenseMatrix* out, ThreadPool* pool) {
   DMML_CHECK(x.cols() == 1);
-  DMML_CHECK_EQ(a.rows(), x.rows());
-  EnsureOut(out, 1, a.cols());
-  out->Fill(0.0);  // ReduceRows accumulates into a pre-zeroed output.
-  ReduceRows(pool, a.rows(), GrainFor(SparseRowWork(a)), a.cols(), out->data(),
-             [&a, &x](size_t begin, size_t end, double* yv) {
-               for (size_t i = begin; i < end; ++i) {
-                 const double xi = x.data()[i];
-                 if (xi == 0.0) continue;
-                 for (size_t k = a.RowBegin(i); k < a.RowEnd(i); ++k) {
-                   yv[a.col_idx()[k]] += xi * a.values()[k];
-                 }
-               }
-             });
+  SparseTransposeMultiplyRangeInto(a, 0, a.rows(), x, out, pool);
+  out->Reshape(1, a.cols());  // Same contiguous values as the cols x 1 form.
 }
 
 DenseMatrix SparseGevm(const DenseMatrix& x, const SparseMatrix& a,
@@ -831,19 +787,7 @@ DenseMatrix SparseGevm(const DenseMatrix& x, const SparseMatrix& a,
 
 void SparseMultiplyDenseInto(const SparseMatrix& a, const DenseMatrix& b,
                              DenseMatrix* out, ThreadPool* pool) {
-  DMML_CHECK_EQ(a.cols(), b.rows());
-  EnsureOut(out, a.rows(), b.cols());
-  out->Fill(0.0);
-  DenseMatrix& c = *out;
-  ParallelForChunks(pool, a.rows(), GrainFor(SparseRowWork(a) * b.cols()),
-                    [&](size_t, size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      double* crow = c.Row(i);
-      for (size_t k = a.RowBegin(i); k < a.RowEnd(i); ++k) {
-        Axpy(a.values()[k], b.Row(a.col_idx()[k]), crow, b.cols());
-      }
-    }
-  });
+  SparseMultiplyDenseRangeInto(a, 0, a.rows(), b, out, pool);
 }
 
 DenseMatrix SparseMultiplyDense(const SparseMatrix& a, const DenseMatrix& b,
@@ -858,19 +802,34 @@ void SparseMultiplyDenseRangeInto(const SparseMatrix& a, size_t row_begin,
                                   DenseMatrix* out, ThreadPool* pool) {
   DMML_CHECK_EQ(a.cols(), b.rows());
   DMML_CHECK(row_begin <= row_end && row_end <= a.rows());
-  const size_t range = row_end - row_begin;
-  EnsureOut(out, range, b.cols());
-  out->Fill(0.0);
+  DMML_CHECK(out != &b);
+  const size_t range = row_end - row_begin, k = b.cols();
+  EnsureOut(out, range, k);
   DenseMatrix& c = *out;
-  // Width-independent grain, matching the ranged dense kernels; chunks own
-  // disjoint output rows so chunking never affects the summation order.
-  ParallelForChunks(pool, range, GrainFor(SparseRowWork(a)),
-                    [&](size_t, size_t begin, size_t end) {
+  // Chunks own disjoint output rows, so the grain never affects results.
+  const size_t grain = GrainFor(SparseRowWork(a) * k);
+  if (k == 1) {
+    // One right-hand column: a register dot product per row (gemv).
+    const double* bv = b.data();
+    ParallelForChunks(pool, range, grain, [&](size_t, size_t begin, size_t end) {
+      for (size_t i = begin; i < end; ++i) {
+        const size_t src = row_begin + i;
+        double acc = 0.0;
+        for (size_t p = a.RowBegin(src); p < a.RowEnd(src); ++p) {
+          acc += a.values()[p] * bv[a.col_idx()[p]];
+        }
+        c.At(i, 0) = acc;
+      }
+    });
+    return;
+  }
+  c.Fill(0.0);
+  ParallelForChunks(pool, range, grain, [&](size_t, size_t begin, size_t end) {
     for (size_t i = begin; i < end; ++i) {
       double* crow = c.Row(i);
       const size_t src = row_begin + i;
-      for (size_t k = a.RowBegin(src); k < a.RowEnd(src); ++k) {
-        Axpy(a.values()[k], b.Row(a.col_idx()[k]), crow, b.cols());
+      for (size_t p = a.RowBegin(src); p < a.RowEnd(src); ++p) {
+        Axpy(a.values()[p], b.Row(a.col_idx()[p]), crow, k);
       }
     }
   });
@@ -881,10 +840,29 @@ void SparseTransposeMultiplyRangeInto(const SparseMatrix& a, size_t row_begin,
                                       DenseMatrix* out, ThreadPool* pool) {
   DMML_CHECK(row_begin <= row_end && row_end <= a.rows());
   DMML_CHECK_EQ(row_end - row_begin, m.rows());
+  DMML_CHECK(out != &m);
   const size_t range = row_end - row_begin, d = a.cols(), k = m.cols();
   EnsureOut(out, d, k);
-  out->Fill(0.0);
-  ReduceRows(pool, range, GrainFor(SparseRowWork(a)), d * k, out->data(),
+  out->Fill(0.0);  // ReduceRows accumulates into a pre-zeroed output.
+  const size_t grain = GrainFor(SparseRowWork(a));
+  if (k == 1) {
+    // One column: scatter each scalar of m over its row (gevm), skipping
+    // zeros.
+    const double* mv = m.data();
+    ReduceRows(pool, range, grain, d, out->data(),
+               [&a, mv, row_begin](size_t begin, size_t end, double* g) {
+                 for (size_t i = begin; i < end; ++i) {
+                   const double mi = mv[i];
+                   if (mi == 0.0) continue;
+                   const size_t src = row_begin + i;
+                   for (size_t p = a.RowBegin(src); p < a.RowEnd(src); ++p) {
+                     g[a.col_idx()[p]] += mi * a.values()[p];
+                   }
+                 }
+               });
+    return;
+  }
+  ReduceRows(pool, range, grain, d * k, out->data(),
              [&a, &m, row_begin, k](size_t begin, size_t end, double* g) {
                for (size_t i = begin; i < end; ++i) {
                  const double* mr = m.Row(i);

@@ -159,16 +159,6 @@ void RowSumsInto(const DenseMatrix& a, DenseMatrix* out,
 /// conform).
 void AxpyInto(double alpha, const DenseMatrix& x, DenseMatrix* y);
 
-/// \brief out(i, j) = a(i, j) * s(0, j): scales every column of A by the
-/// matching entry of the 1 x cols row vector `s`. The shared-scan trainer
-/// uses this to apply per-configuration learning rates / L2 strengths to a
-/// stacked gradient matrix in one pass.
-void ScaleColumnsInto(const DenseMatrix& a, const DenseMatrix& s,
-                      DenseMatrix* out);
-
-/// \brief Allocating form of ScaleColumnsInto.
-DenseMatrix ScaleColumns(const DenseMatrix& a, const DenseMatrix& s);
-
 // ---------------------------------------------------------------------------
 // Row-windowed variants
 // ---------------------------------------------------------------------------
@@ -216,15 +206,18 @@ SparseMatrix SparseTranspose(const SparseMatrix& a);
 // representation dispatch. The Into forms reshape `*out` (counting
 // la.inplace.reuses / la.inplace.allocs) and fully overwrite it.
 
-/// \brief y = A * x into `*out` for CSR A and dense (n x 1) x.
+/// \brief y = A * x into `*out` for CSR A and dense (n x 1) x: the
+/// [0, rows) window of SparseMultiplyDenseRangeInto.
 void SparseGemvInto(const SparseMatrix& a, const DenseMatrix& x,
                     DenseMatrix* out, ThreadPool* pool = nullptr);
 
-/// \brief y = x^T * A into `*out` (1 x n) for CSR A.
+/// \brief y = x^T * A into `*out` (1 x n) for CSR A: the [0, rows) window
+/// of SparseTransposeMultiplyRangeInto, reshaped to a row vector.
 void SparseGevmInto(const DenseMatrix& x, const SparseMatrix& a,
                     DenseMatrix* out, ThreadPool* pool = nullptr);
 
-/// \brief C = A * B into `*out` for CSR A and dense B.
+/// \brief C = A * B into `*out` for CSR A and dense B: the [0, rows) window
+/// of SparseMultiplyDenseRangeInto.
 void SparseMultiplyDenseInto(const SparseMatrix& a, const DenseMatrix& b,
                              DenseMatrix* out, ThreadPool* pool = nullptr);
 
@@ -243,14 +236,16 @@ void SparseRowSquaredNormsInto(const SparseMatrix& a, DenseMatrix* out);
 
 /// \brief out = A[row_begin:row_end) * B for CSR A; out is window-relative
 /// ((row_end-row_begin) x b.cols()). CSR row offsets make the row window a
-/// positional slice — no scan from row 0.
+/// positional slice — no scan from row 0. A one-column B runs the gemv loop
+/// (a register dot product per row); wider B axpys each entry's B row.
 void SparseMultiplyDenseRangeInto(const SparseMatrix& a, size_t row_begin,
                                   size_t row_end, const DenseMatrix& b,
                                   DenseMatrix* out, ThreadPool* pool = nullptr);
 
 /// \brief out = A[row_begin:row_end)ᵀ * M for CSR A with M window-relative
 /// ((row_end-row_begin) x k); out becomes (cols x k). Per-chunk private
-/// partials + reduction, like SparseGevm.
+/// partials + reduction. A one-column M runs the gevm loop (scalar scatter,
+/// zero entries of M skipped); wider M axpys each M row.
 void SparseTransposeMultiplyRangeInto(const SparseMatrix& a, size_t row_begin,
                                       size_t row_end, const DenseMatrix& m,
                                       DenseMatrix* out,

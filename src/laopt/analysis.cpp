@@ -220,22 +220,6 @@ Result<NodeAnalysis> DagAnalysis::Ensure(const ExprPtr& node) {
       info.shape.cols = kids[0].shape.cols;
       info.sparsity = ReduceSparsity(kids[0].sparsity, kids[0].shape.rows);
       break;
-    case OpKind::kScaleColumns: {
-      const Shape& a = kids[0].shape;
-      const Shape& s = kids[1].shape;
-      if (s.rows.known && s.rows.value != 1) {
-        return ShapeError(*node, "scale_columns scale must be a row vector", a,
-                          s);
-      }
-      if (a.cols.known && s.cols.known && a.cols.value != s.cols.value) {
-        return ShapeError(*node, "scale_columns column-count mismatch", a, s);
-      }
-      info.shape.rows = a.rows;
-      info.shape.cols = a.cols.known ? a.cols : s.cols;
-      // Zeros in either factor survive as zeros (same model as elem_mul).
-      info.sparsity = ClampSparsity(kids[0].sparsity * kids[1].sparsity);
-      break;
-    }
   }
 
   FillFootprint(&info);

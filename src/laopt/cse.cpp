@@ -100,11 +100,6 @@ class HashConser {
         DMML_ASSIGN_OR_RETURN(rebuilt, ExprNode::ColSums(kids[0]));
         break;
       }
-      case OpKind::kScaleColumns: {
-        DMML_ASSIGN_OR_RETURN(rebuilt,
-                              ExprNode::ScaleColumns(kids[0], kids[1]));
-        break;
-      }
     }
     ids_.emplace(rebuilt.get(), next_id_++);
     table_.emplace(std::move(key), rebuilt);

@@ -26,7 +26,7 @@ using la::SparseMatrix;
 
 namespace {
 
-constexpr size_t kNumOpKinds = static_cast<size_t>(OpKind::kScaleColumns) + 1;
+constexpr size_t kNumOpKinds = static_cast<size_t>(OpKind::kColSums) + 1;
 
 // Per-op-kind instruments, resolved once. The names double as span labels so
 // metrics and trace rows line up (e.g. counter laopt.executor.ops.matmul and
@@ -878,67 +878,51 @@ Result<BufferedExecutor::Value> BufferedExecutor::EvalMatMul(
       return Value{Repr::kDense, slot.buf, nullptr, nullptr};
     }
     if (uv.repr == Repr::kCompressed) {
+      // t(X[b:e)) %*% M, any k: the ranged group kernels seek into the
+      // window positionally (a compressed value is always a leaf, whose
+      // window spans every row when it is not sliced).
       DMML_ASSIGN_OR_RETURN(Value vv, Eval(rc));
       DMML_ASSIGN_OR_RETURN(const DenseMatrix* vd, Densify(rc, vv));
       if (profile_ != nullptr) profile_->AddFusedUse(lc.get());
-      if (uv.windowed) {
-        // Windowed t(X) %*% M (any k, including k = 1): the ranged group
-        // kernels seek into [win_begin, win_end) positionally.
-        DMML_RETURN_IF_ERROR(uv.c->TransposeMultiplyMatrixRangeInto(
-            *vd, uv.win_begin, uv.win_end, slot.buf, pool_));
-      } else if (vd->cols() == 1) {
-        // t(X) %*% v == (v^T X)^T: the dictionary-pre-aggregating
-        // VectorMultiply produces 1 x d; reinterpret as d x 1 (identical
-        // contiguous storage).
-        DMML_RETURN_IF_ERROR(uv.c->VectorMultiplyInto(*vd, slot.buf, pool_));
-        slot.buf->Reshape(slot.buf->cols(), 1);
-      } else {
-        DMML_RETURN_IF_ERROR(
-            uv.c->TransposeMultiplyMatrixInto(*vd, slot.buf, pool_));
-      }
+      DMML_RETURN_IF_ERROR(uv.c->TransposeMultiplyMatrixRangeInto(
+          *vd, uv.win_begin, uv.win_end, slot.buf, pool_));
       CountDispatch(slot, Repr::kCompressed);
       return Value{Repr::kDense, slot.buf, nullptr, nullptr};
     }
-    if (uv.repr == Repr::kFactorized && !uv.windowed) {
-      if (rc.get() == u.get()) {
+    if (uv.repr == Repr::kFactorized) {
+      if (rc.get() == u.get() && !uv.windowed) {
         // t(T) %*% T — the factorized Gramian (Orion's cofactor
         // computation): block decomposition over the normalized tables, no
-        // materialized join.
+        // materialized join. It covers every row, so a windowed t(T) %*% T
+        // takes the RMM below against its densified window instead.
         if (profile_ != nullptr) profile_->AddFusedUse(lc.get());
         DMML_ASSIGN_OR_RETURN(*slot.buf, uv.lo->Gram(pool_));
         CountDispatch(slot, Repr::kFactorized);
         return Value{Repr::kDense, slot.buf, nullptr, nullptr};
       }
-      // t(T) %*% M: factorized RMM — rows of M group-accumulate through the
-      // join keys before touching the attribute tables.
+      // t(T[b:e)) %*% M: factorized RMM over the window's fact rows — rows
+      // of M group-accumulate through the join keys before touching the
+      // attribute tables (a factorized value is always a leaf).
       DMML_ASSIGN_OR_RETURN(Value vv, Eval(rc));
       DMML_ASSIGN_OR_RETURN(const DenseMatrix* vd, Densify(rc, vv));
       if (profile_ != nullptr) profile_->AddFusedUse(lc.get());
-      DMML_ASSIGN_OR_RETURN(*slot.buf, uv.lo->TransposeMultiply(*vd, pool_));
+      DMML_ASSIGN_OR_RETURN(*slot.buf, uv.lo->TransposeMultiply(
+                                           *vd, uv.win_begin, uv.win_end, pool_));
       CountDispatch(slot, Repr::kFactorized);
       return Value{Repr::kDense, slot.buf, nullptr, nullptr};
     }
     if (uv.repr == Repr::kSparse) {
+      // t(S[b:e)) %*% M, any k: the ranged CSR reduction scatters each row
+      // of S against its row of M — no materialized transpose. An unsliced
+      // S is its own [0, rows) window.
       DMML_ASSIGN_OR_RETURN(Value vv, Eval(rc));
-      if (uv.windowed) {
-        DMML_ASSIGN_OR_RETURN(const DenseMatrix* vd, Densify(rc, vv));
-        if (profile_ != nullptr) profile_->AddFusedUse(lc.get());
-        la::SparseTransposeMultiplyRangeInto(*uv.s, uv.win_begin, uv.win_end,
-                                             *vd, slot.buf, pool_);
-        CountDispatch(slot, Repr::kSparse);
-        return Value{Repr::kDense, slot.buf, nullptr, nullptr};
-      }
-      if (vv.repr == Repr::kDense && !vv.windowed && vv.d->cols() == 1) {
-        // t(S) %*% v == (v^T S)^T via the CSR Gevm reduction — no
-        // materialized transpose; 1 x d reinterpreted as d x 1.
-        if (profile_ != nullptr) profile_->AddFusedUse(lc.get());
-        la::SparseGevmInto(*vv.d, *uv.s, slot.buf, pool_);
-        slot.buf->Reshape(slot.buf->cols(), 1);
-        CountDispatch(slot, Repr::kSparse);
-        return Value{Repr::kDense, slot.buf, nullptr, nullptr};
-      }
-      // General t(S) %*% M: fall through — the generic path evaluates the
-      // transpose node (materialized once as CSR) and dispatches on it.
+      DMML_ASSIGN_OR_RETURN(const DenseMatrix* vd, Densify(rc, vv));
+      if (profile_ != nullptr) profile_->AddFusedUse(lc.get());
+      la::SparseTransposeMultiplyRangeInto(
+          *uv.s, uv.windowed ? uv.win_begin : 0,
+          uv.windowed ? uv.win_end : uv.s->rows(), *vd, slot.buf, pool_);
+      CountDispatch(slot, Repr::kSparse);
+      return Value{Repr::kDense, slot.buf, nullptr, nullptr};
     }
   } else if (rc->kind() == OpKind::kTranspose) {
     DMML_ASSIGN_OR_RETURN(Value av, Eval(lc));
@@ -956,72 +940,40 @@ Result<BufferedExecutor::Value> BufferedExecutor::EvalMatMul(
 
   DMML_ASSIGN_OR_RETURN(Value a, Eval(lc));
   DMML_ASSIGN_OR_RETURN(Value b, Eval(rc));
-  if (a.windowed) {
-    // X[b:e) %*% M — the ranged kernels touch only the window's rows; the
-    // shared-scan score pass over a fold's training window.
-    DMML_ASSIGN_OR_RETURN(const DenseMatrix* bd, Densify(rc, b));
-    switch (a.repr) {
-      case Repr::kDense:
+  DMML_ASSIGN_OR_RETURN(const DenseMatrix* bd, Densify(rc, b));
+  // X[b:e) %*% M: the ranged kernels touch only the window's rows (the
+  // shared-scan score pass over a fold's training window). Compressed and
+  // factorized values are always leaves, whose window spans every row when
+  // unsliced; dense and sparse values may be windowless intermediates.
+  switch (a.repr) {
+    case Repr::kDense:
+      if (a.windowed) {
         la::MultiplyRangeInto(*a.d, a.win_begin, a.win_end, *bd, slot.buf,
                               pool_);
-        CountDispatch(slot, Repr::kDense);
-        break;
-      case Repr::kSparse:
+      } else {
+        la::MultiplyInto(*a.d, *bd, slot.buf, pool_);
+      }
+      break;
+    case Repr::kSparse:
+      if (a.windowed) {
         la::SparseMultiplyDenseRangeInto(*a.s, a.win_begin, a.win_end, *bd,
                                          slot.buf, pool_);
-        CountDispatch(slot, Repr::kSparse);
-        break;
-      case Repr::kCompressed:
-        DMML_RETURN_IF_ERROR(a.c->MultiplyMatrixRangeInto(
-            *bd, a.win_begin, a.win_end, slot.buf, pool_));
-        CountDispatch(slot, Repr::kCompressed);
-        break;
-      case Repr::kFactorized: {
-        // No ranged factorized kernels — densify the window and run dense.
-        DMML_ASSIGN_OR_RETURN(const DenseMatrix* ad, Densify(lc, a));
-        la::MultiplyInto(*ad, *bd, slot.buf, pool_);
-        CountDispatch(slot, Repr::kDense);
-        break;
-      }
-    }
-    return Value{Repr::kDense, slot.buf, nullptr, nullptr};
-  }
-  switch (a.repr) {
-    case Repr::kSparse: {
-      DMML_ASSIGN_OR_RETURN(const DenseMatrix* bd, Densify(rc, b));
-      if (bd->cols() == 1) {
-        la::SparseGemvInto(*a.s, *bd, slot.buf, pool_);
       } else {
         la::SparseMultiplyDenseInto(*a.s, *bd, slot.buf, pool_);
       }
-      CountDispatch(slot, Repr::kSparse);
       break;
-    }
-    case Repr::kCompressed: {
-      DMML_ASSIGN_OR_RETURN(const DenseMatrix* bd, Densify(rc, b));
-      if (bd->cols() == 1) {
-        DMML_RETURN_IF_ERROR(a.c->MultiplyVectorInto(*bd, slot.buf, pool_));
-      } else {
-        DMML_RETURN_IF_ERROR(a.c->MultiplyMatrixInto(*bd, slot.buf, pool_));
-      }
-      CountDispatch(slot, Repr::kCompressed);
+    case Repr::kCompressed:
+      DMML_RETURN_IF_ERROR(a.c->MultiplyMatrixRangeInto(
+          *bd, a.win_begin, a.win_end, slot.buf, pool_));
       break;
-    }
-    case Repr::kFactorized: {
-      // T %*% M: factorized LMM — per-table products hit each attribute
-      // table once (nR rows) and gather through the foreign keys.
-      DMML_ASSIGN_OR_RETURN(const DenseMatrix* bd, Densify(rc, b));
-      DMML_ASSIGN_OR_RETURN(*slot.buf, a.lo->Multiply(*bd, pool_));
-      CountDispatch(slot, Repr::kFactorized);
+    case Repr::kFactorized:
+      // Factorized LMM: per-table products hit each attribute table once
+      // (nR rows) and gather through the window's foreign keys.
+      DMML_ASSIGN_OR_RETURN(*slot.buf,
+                            a.lo->Multiply(*bd, a.win_begin, a.win_end, pool_));
       break;
-    }
-    case Repr::kDense: {
-      DMML_ASSIGN_OR_RETURN(const DenseMatrix* bd, Densify(rc, b));
-      la::MultiplyInto(*a.d, *bd, slot.buf, pool_);
-      CountDispatch(slot, Repr::kDense);
-      break;
-    }
   }
+  CountDispatch(slot, a.repr);
   return Value{Repr::kDense, slot.buf, nullptr, nullptr};
 }
 
@@ -1290,7 +1242,8 @@ Result<BufferedExecutor::Value> BufferedExecutor::Eval(const ExprPtr& node) {
         // rowSums(T) == T %*% 1 through the factorized LMM.
         slot.aux.Reshape(a.lo->cols(), 1);
         slot.aux.Fill(1.0);
-        DMML_ASSIGN_OR_RETURN(*slot.buf, a.lo->Multiply(slot.aux, pool_));
+        DMML_ASSIGN_OR_RETURN(*slot.buf,
+                              a.lo->Multiply(slot.aux, 0, a.lo->rows(), pool_));
         CountDispatch(slot, Repr::kFactorized);
       } else {
         la::RowSumsInto(*a.d, slot.buf, pool_);
@@ -1322,20 +1275,6 @@ Result<BufferedExecutor::Value> BufferedExecutor::Eval(const ExprPtr& node) {
         la::ColumnSumsInto(*a.d, slot.buf, pool_);
         CountDispatch(slot, Repr::kDense);
       }
-      break;
-    }
-    case OpKind::kScaleColumns: {
-      // out(i, j) = a(i, j) * s(0, j): per-column scaling of a dense value
-      // by a 1 x cols row vector — the per-config step-size kernel of the
-      // shared-scan trainer (column c carries config c's learning rate).
-      DMML_ASSIGN_OR_RETURN(Value a, Eval(node->children()[0]));
-      DMML_ASSIGN_OR_RETURN(Value s, Eval(node->children()[1]));
-      DMML_ASSIGN_OR_RETURN(const DenseMatrix* ad,
-                            Densify(node->children()[0], a));
-      DMML_ASSIGN_OR_RETURN(const DenseMatrix* sd,
-                            Densify(node->children()[1], s));
-      la::ScaleColumnsInto(*ad, *sd, slot.buf);
-      CountDispatch(slot, Repr::kDense);
       break;
     }
     case OpKind::kInput:

@@ -10,15 +10,19 @@
 ///  * dense·dense matmul       → blocked GEMM; t(U)·V → TransposeMultiply,
 ///    t(U)·U → Gram (SYRK), U·t(V) → MultiplyTransposeB — never
 ///    materializing the transpose;
-///  * sparse·dense matmul      → SparseGemv / SparseMultiplyDense; t(S) is
-///    materialized once per run as CSR via the counting transpose;
+///  * sparse·dense matmul      → the ranged CSR kernels: S·M →
+///    SparseMultiplyDenseRange (a gemv loop at one column), t(S)·M →
+///    SparseTransposeMultiplyRange (a row-scatter reduction) — never
+///    materializing the transpose;
 ///  * compressed·dense matmul  → the ranged cla::CompressedMatrix operators
-///    (MultiplyVector / MultiplyMatrix / TransposeMultiplyMatrix), including
-///    the fused rowSums(X ⊙ X) → RowSquaredNorms pattern;
-///  * factorized leaves        → the abstract LinearOperator virtuals (T·m,
-///    Tᵀ·m, t(T)·T → Gram, colSums, the fused rowSums(T ⊙ T)), so a
-///    normalized-join design matrix trains without ever materializing the
-///    join;
+///    (MultiplyMatrixRange / TransposeMultiplyMatrixRange, vector loops at
+///    one column), including the fused rowSums(X ⊙ X) → RowSquaredNorms
+///    pattern;
+///  * factorized leaves        → the abstract LinearOperator virtuals (T·m
+///    and Tᵀ·m over the leaf's window of rows, t(T)·T → Gram, colSums, the
+///    fused rowSums(T ⊙ T)), so a normalized-join design matrix trains —
+///    also fold by fold — without ever materializing the join;
+///  * row-windowed leaves      → the ranged form of each product above;
 ///  * everything else          → densify-on-mismatch fallback: the non-dense
 ///    operand is materialized into an executor-owned buffer (cached per
 ///    node, reused across runs) and the dense kernel runs. Every fallback

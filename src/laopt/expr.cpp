@@ -42,7 +42,6 @@ const char* OpKindName(OpKind kind) {
     case OpKind::kSum: return "sum";
     case OpKind::kRowSums: return "row_sums";
     case OpKind::kColSums: return "col_sums";
-    case OpKind::kScaleColumns: return "scale_columns";
   }
   return "unknown";
 }
@@ -96,10 +95,6 @@ std::string ExprNode::ToString() const {
       break;
     case OpKind::kColSums:
       os << "colSums(" << children_[0]->ToString() << ")";
-      break;
-    case OpKind::kScaleColumns:
-      os << "scaleCols(" << children_[0]->ToString() << ", "
-         << children_[1]->ToString() << ")";
       break;
   }
   return os.str();
@@ -241,24 +236,6 @@ Result<ExprPtr> ExprNode::ColSums(ExprPtr a) {
   return ExprPtr(node);
 }
 
-Result<ExprPtr> ExprNode::ScaleColumns(ExprPtr a, ExprPtr s) {
-  if (!a || !s) return Status::InvalidArgument("ScaleColumns: null operand");
-  if (Known(s->rows()) && s->rows() != 1) {
-    return Status::InvalidArgument("ScaleColumns: scale must be a row vector");
-  }
-  if (!DimsCompatible(a->cols(), s->cols())) {
-    return Status::InvalidArgument("ScaleColumns: column-count mismatch (" +
-                                   std::to_string(a->cols()) + " vs " +
-                                   std::to_string(s->cols()) + ")");
-  }
-  auto node = NewNode();
-  node->kind_ = OpKind::kScaleColumns;
-  node->rows_ = a->rows();
-  node->cols_ = MergeDims(a->cols(), s->cols());
-  node->children_ = {std::move(a), std::move(s)};
-  return ExprPtr(node);
-}
-
 Result<ExprPtr> ExprNode::MakeUnchecked(OpKind kind, std::vector<ExprPtr> children,
                                         double scalar) {
   if (kind == OpKind::kInput) {
@@ -266,8 +243,7 @@ Result<ExprPtr> ExprNode::MakeUnchecked(OpKind kind, std::vector<ExprPtr> childr
   }
   const size_t arity =
       (kind == OpKind::kMatMul || kind == OpKind::kAdd ||
-       kind == OpKind::kSubtract || kind == OpKind::kElemMul ||
-       kind == OpKind::kScaleColumns)
+       kind == OpKind::kSubtract || kind == OpKind::kElemMul)
           ? 2
           : 1;
   if (children.size() != arity) {
@@ -312,10 +288,6 @@ Result<ExprPtr> ExprNode::MakeUnchecked(OpKind kind, std::vector<ExprPtr> childr
       node->rows_ = 1;
       node->cols_ = a->cols();
       break;
-    case OpKind::kScaleColumns:
-      node->rows_ = a->rows();
-      node->cols_ = MergeDims(a->cols(), children[1]->cols());
-      break;
     case OpKind::kInput:
       break;  // Rejected above.
   }
@@ -348,7 +320,6 @@ double EstimateFlops(const ExprPtr& e) {
     case OpKind::kAdd:
     case OpKind::kSubtract:
     case OpKind::kElemMul:
-    case OpKind::kScaleColumns:
       acc = DimArea(e->rows(), e->cols());
       break;
     case OpKind::kSum:

@@ -30,7 +30,6 @@ enum class OpKind {
   kSum,        ///< Full sum as a 1x1 matrix.
   kRowSums,    ///< Per-row sums (n x 1).
   kColSums,    ///< Per-column sums (1 x n).
-  kScaleColumns,  ///< A · diag(s): out(i,j) = A(i,j) · s(0,j), s is 1 x cols.
 };
 
 /// \brief Stable identifier for an op kind ("matmul", "transpose", ...),
@@ -111,12 +110,6 @@ class ExprNode {
   static Result<ExprPtr> Sum(ExprPtr a);
   static Result<ExprPtr> RowSums(ExprPtr a);
   static Result<ExprPtr> ColSums(ExprPtr a);
-
-  /// \brief Column-wise scaling A · diag(s) with s a (1 x cols) row vector:
-  /// out(i,j) = A(i,j) · s(0,j). Lets shared-scan model selection apply k
-  /// per-config step sizes to the columns of a d x k weight matrix in one
-  /// node instead of k ScalarMul branches.
-  static Result<ExprPtr> ScaleColumns(ExprPtr a, ExprPtr s);
 
   const std::string& name() const { return name_; }
 

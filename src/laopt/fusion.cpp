@@ -235,8 +235,6 @@ class FusingEvaluator {
         return la::RowSums(kids[0]);
       case OpKind::kColSums:
         return la::ColumnSums(kids[0]);
-      case OpKind::kScaleColumns:
-        return la::ScaleColumns(kids[0], kids[1]);
       case OpKind::kInput:
         break;
     }

@@ -43,7 +43,8 @@ Result<la::DenseMatrix> LinearOperator::RowSquaredNorms(ThreadPool* pool) const 
 
 Result<la::DenseMatrix> LinearOperator::ColumnSums(ThreadPool* pool) const {
   la::DenseMatrix ones(rows(), 1, 1.0);
-  DMML_ASSIGN_OR_RETURN(la::DenseMatrix col, TransposeMultiply(ones, pool));
+  DMML_ASSIGN_OR_RETURN(la::DenseMatrix col,
+                        TransposeMultiply(ones, 0, rows(), pool));
   la::DenseMatrix out(1, col.rows());
   for (size_t j = 0; j < col.rows(); ++j) out.At(0, j) = col.At(j, 0);
   return out;

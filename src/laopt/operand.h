@@ -47,7 +47,9 @@ enum class Repr {
 /// The executor dispatches the products its trainer programs need — T·m,
 /// Tᵀ·m, Gram (TᵀT), rowSums(T⊙T), colSums(T) — to these virtuals and falls
 /// back to Materialize() for anything else (the same densify-on-mismatch
-/// contract the compressed representation has).
+/// contract the compressed representation has). The two products take a
+/// window of rows, so a row-windowed Operand (a cross-validation fold) runs
+/// them without materializing the window.
 class LinearOperator {
  public:
   virtual ~LinearOperator() = default;
@@ -55,11 +57,16 @@ class LinearOperator {
   virtual size_t rows() const = 0;
   virtual size_t cols() const = 0;
 
-  /// T · m for m of shape (cols() x k).
+  /// T[row_begin:row_end) · m for m of shape (cols() x k); the result is
+  /// (row_end - row_begin) x k.
   virtual Result<la::DenseMatrix> Multiply(const la::DenseMatrix& m,
+                                           size_t row_begin, size_t row_end,
                                            ThreadPool* pool) const = 0;
-  /// Tᵀ · m for m of shape (rows() x k).
+  /// T[row_begin:row_end)ᵀ · m for window-relative m of shape
+  /// ((row_end - row_begin) x k); the result is cols() x k.
   virtual Result<la::DenseMatrix> TransposeMultiply(const la::DenseMatrix& m,
+                                                    size_t row_begin,
+                                                    size_t row_end,
                                                     ThreadPool* pool) const = 0;
   /// TᵀT (cols() x cols()). Default: materialize and multiply.
   virtual Result<la::DenseMatrix> Gram(ThreadPool* pool) const;
@@ -127,9 +134,11 @@ class Operand {
   // Row windows. A windowed operand is a zero-copy view of rows
   // [window_begin, window_end) of the bound matrix — the payload is shared
   // with the parent handle and the executor dispatches ranged kernels
-  // (dense pointer-offset GEMM, sparse CSR slices, CLA positional seeks)
-  // instead of materialising the slice. Contiguous-fold cross-validation
-  // trains leave-one-fold-out through two such views per fold.
+  // (dense pointer-offset GEMM, sparse CSR slices, CLA positional seeks,
+  // factorized products over a window of fact rows) instead of
+  // materialising the slice. Contiguous-fold cross-validation trains
+  // leave-one-fold-out through two such views per fold, and a single model
+  // through one view of every row.
   // ---------------------------------------------------------------------
 
   /// \brief Zero-copy view of rows [row_begin, row_end) of *this* operand's

@@ -211,8 +211,6 @@ class Rewriter {
         return ExprNode::RowSums(kids[0]);
       case OpKind::kColSums:
         return ExprNode::ColSums(kids[0]);
-      case OpKind::kScaleColumns:
-        return ExprNode::ScaleColumns(kids[0], kids[1]);
     }
     return Status::Internal("unknown op kind");
   }

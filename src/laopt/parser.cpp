@@ -126,8 +126,6 @@ class Parser {
         return ExprNode::RowSums(children[0]);
       case OpKind::kColSums:
         return ExprNode::ColSums(children[0]);
-      case OpKind::kScaleColumns:
-        return ExprNode::ScaleColumns(children[0], children[1]);
       case OpKind::kInput:
         break;
     }

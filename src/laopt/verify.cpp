@@ -116,7 +116,6 @@ size_t ExpectedArity(OpKind kind) {
     case OpKind::kAdd:
     case OpKind::kSubtract:
     case OpKind::kElemMul:
-    case OpKind::kScaleColumns:
       return 2;
     default:
       return 1;
@@ -205,22 +204,6 @@ void CheckNode(const ExprNode* node, std::vector<Diagnostic>* diags) {
     case OpKind::kColSums:
       want_rows = 1;
       want_cols = kids[0]->cols();
-      break;
-    case OpKind::kScaleColumns:
-      if (Known(kids[1]->rows()) && kids[1]->rows() != 1) {
-        AddDiag(diags, Severity::kError, "verify.shape_mismatch", node,
-                "scale_columns scale operand is " +
-                    ShapeStr(kids[1]->rows(), kids[1]->cols()) +
-                    ", expected a row vector");
-      }
-      if (!DimsCompatible(kids[0]->cols(), kids[1]->cols())) {
-        AddDiag(diags, Severity::kError, "verify.shape_mismatch", node,
-                "scale_columns column counts disagree: " +
-                    std::to_string(kids[0]->cols()) + " vs " +
-                    std::to_string(kids[1]->cols()));
-      }
-      want_rows = kids[0]->rows();
-      want_cols = MergeDims(kids[0]->cols(), kids[1]->cols());
       break;
   }
   if (node->rows() != want_rows || node->cols() != want_cols) {
@@ -593,8 +576,8 @@ std::vector<Diagnostic> LintImpl(const ExprPtr& root,
     switch (n->kind()) {
       case OpKind::kMatMul:
         // The generic matmul path densifies its right operand; every fused
-        // left-side pattern (t(U)·V, gram, compressed/sparse gevm) keeps the
-        // left factor native.
+        // left-side pattern (t(U)·V, gram, the compressed, sparse and
+        // factorized transpose products) keeps the left factor native.
         if (kids.size() == 2 && kids[1] && repr_of(kids[1].get()) != Repr::kDense) {
           densified = kids[1].get();
         }

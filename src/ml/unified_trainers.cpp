@@ -143,25 +143,64 @@ Operand BorrowOperand(const DenseMatrix& m) {
       std::shared_ptr<const DenseMatrix>(std::shared_ptr<void>(), &m));
 }
 
-Result<GlmModel> TrainGlmOnOperand(const Operand& x, const DenseMatrix& y,
-                                   const GlmConfig& config, ThreadPool* pool,
-                                   laopt::PlanProfile* profile) {
-  if (!x.bound()) return Status::InvalidArgument("GLM: unbound design operand");
-  if (config.solver != GlmSolver::kBatchGd) {
-    return Status::InvalidArgument(
-        std::string("GLM: the operand trainer runs batch gradient descent "
-                    "only, got solver ") +
-        SolverName(config.solver));
-  }
+namespace {
+
+// The compiled per-fold slice of a rung's plans. Leaf payloads (W and the
+// residual windows) are mutated in place between executor runs; the
+// expression nodes are built once per rung, since the executor keys plans
+// and slots by node address.
+struct FoldProgram {
+  std::shared_ptr<DenseMatrix> w;     // d x k weight matrix.
+  std::shared_ptr<DenseMatrix> r_lo;  // Window-relative residuals, [0, begin).
+  std::shared_ptr<DenseMatrix> r_hi;  // Window-relative residuals, [end, n).
+  ExprPtr score_lo;                   // Phase A root: X[0,b) %*% W.
+  ExprPtr score_hi;                   // Phase A root: X[e,n) %*% W.
+  ExprPtr grad;                       // Phase B root: Xᵀ·R over both windows.
+  int a_lo = -1, a_hi = -1;           // Indices into the phase A root list.
+  int b = -1;                         // Index into the phase B root list.
+  size_t lo_rows = 0;                 // begin.
+  size_t hi_begin = 0, hi_rows = 0;   // end, n - end.
+  double inv_n = 0;                   // 1 / n_train.
+  size_t live = 0;                    // Columns not yet stopped.
+};
+
+Status ValidateRung(const Operand& x, const DenseMatrix& y,
+                    const std::vector<FoldRange>& folds,
+                    const std::vector<GlmConfig>& configs) {
+  if (!x.bound()) return Status::InvalidArgument("batch GD: unbound X");
   const size_t n = x.rows(), d = x.cols();
-  if (n == 0 || d == 0) return Status::InvalidArgument("GLM: empty data");
+  if (n == 0 || d == 0) return Status::InvalidArgument("batch GD: empty data");
   if (y.rows() != n || y.cols() != 1) {
-    return Status::InvalidArgument("GLM: y must be n x 1");
+    return Status::InvalidArgument("batch GD: y must be n x 1");
   }
-  if (config.learning_rate <= 0) {
-    return Status::InvalidArgument("learning_rate must be positive");
+  if (folds.empty()) return Status::InvalidArgument("batch GD: no folds");
+  for (const FoldRange& f : folds) {
+    if (f.begin > f.end || f.end > n) {
+      return Status::InvalidArgument("batch GD: bad fold range");
+    }
+    if (f.end - f.begin >= n) {
+      return Status::InvalidArgument("batch GD: fold leaves no training rows");
+    }
   }
-  if (config.family == GlmFamily::kBinomial) {
+  if (configs.empty()) return Status::InvalidArgument("batch GD: no configs");
+  const GlmConfig& base = configs.front();
+  for (const auto& c : configs) {
+    if (c.solver != GlmSolver::kBatchGd) {
+      return Status::InvalidArgument(
+          std::string("batch GD: the rung engine runs batch gradient descent "
+                      "only, got solver ") +
+          SolverName(c.solver));
+    }
+    if (c.family != base.family || c.max_epochs != base.max_epochs ||
+        c.fit_intercept != base.fit_intercept) {
+      return Status::InvalidArgument(
+          "batch GD: configs must share family, epochs and intercept");
+    }
+    if (c.learning_rate <= 0) {
+      return Status::InvalidArgument("learning_rate must be positive");
+    }
+  }
+  if (base.family == GlmFamily::kBinomial) {
     for (size_t i = 0; i < n; ++i) {
       double v = y.At(i, 0);
       if (v != 0.0 && v != 1.0) {
@@ -169,81 +208,296 @@ Result<GlmModel> TrainGlmOnOperand(const Operand& x, const DenseMatrix& y,
       }
     }
   }
-  DMML_TRACE_SPAN("ml.glm.train_operand");
+  return Status::OK();
+}
 
-  // The whole epoch's linear algebra is two executor programs over shared
-  // leaves: scores = X %*% w and grad = t(X) %*% r. Representation dispatch
-  // picks the kernels; w and r are payloads this loop mutates in place.
-  auto w = std::make_shared<DenseMatrix>(d, 1);
-  auto r = std::make_shared<DenseMatrix>(n, 1);
-  DMML_ASSIGN_OR_RETURN(ExprPtr xleaf, ExprNode::InputOperand(x, "X"));
-  DMML_ASSIGN_OR_RETURN(ExprPtr wleaf, ExprNode::InputOperand(Operand(w), "w"));
-  DMML_ASSIGN_OR_RETURN(ExprPtr rleaf, ExprNode::InputOperand(Operand(r), "r"));
-  DMML_ASSIGN_OR_RETURN(ExprPtr xt, ExprNode::Transpose(xleaf));
-  DMML_ASSIGN_OR_RETURN(ExprPtr scores_expr, ExprNode::MatMul(xleaf, wleaf));
-  DMML_ASSIGN_OR_RETURN(ExprPtr grad_expr, ExprNode::MatMul(xt, rleaf));
-  ScopedTrainerProfile prof(profile, "ml.glm.train_operand");
+// Builds one fold's leaves and roots. Training windows are zero-copy row
+// slices of the shared X operand — also when a window spans every row — so
+// every product runs a ranged kernel whose cutoffs and grains do not depend
+// on the rung width.
+Result<FoldProgram> BuildFoldProgram(const Operand& x, const FoldRange& fold,
+                                     size_t d, size_t k, size_t fold_id) {
+  const size_t n = x.rows();
+  FoldProgram p;
+  p.lo_rows = fold.begin;
+  p.hi_begin = fold.end;
+  p.hi_rows = n - fold.end;
+  p.inv_n = 1.0 / static_cast<double>(p.lo_rows + p.hi_rows);
+  p.live = k;
+  const std::string tag = std::to_string(fold_id);
+
+  p.w = std::make_shared<DenseMatrix>(d, k);
+  DMML_ASSIGN_OR_RETURN(ExprPtr wleaf,
+                        ExprNode::InputOperand(Operand(p.w), "W" + tag));
+  if (p.lo_rows > 0) {
+    DMML_ASSIGN_OR_RETURN(
+        ExprPtr xlo, ExprNode::InputOperand(x.Slice(0, p.lo_rows), "Xlo" + tag));
+    p.r_lo = std::make_shared<DenseMatrix>(p.lo_rows, k);
+    DMML_ASSIGN_OR_RETURN(ExprPtr rlo,
+                          ExprNode::InputOperand(Operand(p.r_lo), "Rlo" + tag));
+    DMML_ASSIGN_OR_RETURN(p.score_lo, ExprNode::MatMul(xlo, wleaf));
+    DMML_ASSIGN_OR_RETURN(ExprPtr xlo_t, ExprNode::Transpose(xlo));
+    DMML_ASSIGN_OR_RETURN(p.grad, ExprNode::MatMul(xlo_t, rlo));
+  }
+  if (p.hi_rows > 0) {
+    DMML_ASSIGN_OR_RETURN(
+        ExprPtr xhi, ExprNode::InputOperand(x.Slice(p.hi_begin, n), "Xhi" + tag));
+    p.r_hi = std::make_shared<DenseMatrix>(p.hi_rows, k);
+    DMML_ASSIGN_OR_RETURN(ExprPtr rhi,
+                          ExprNode::InputOperand(Operand(p.r_hi), "Rhi" + tag));
+    DMML_ASSIGN_OR_RETURN(p.score_hi, ExprNode::MatMul(xhi, wleaf));
+    DMML_ASSIGN_OR_RETURN(ExprPtr xhi_t, ExprNode::Transpose(xhi));
+    DMML_ASSIGN_OR_RETURN(ExprPtr ghi, ExprNode::MatMul(xhi_t, rhi));
+    if (p.grad) {
+      DMML_ASSIGN_OR_RETURN(p.grad, ExprNode::Add(p.grad, ghi));
+    } else {
+      p.grad = std::move(ghi);
+    }
+  }
+  return p;
+}
+
+// One score cell of the scalar middle: adds the loss term of score `s`
+// against label `yi` to `*loss` and returns the residual dLoss/dScore.
+inline double AccumulateCell(double s, double yi, GlmFamily family,
+                             double* loss) {
+  if (family == GlmFamily::kGaussian) {
+    const double r = s - yi;
+    *loss += 0.5 * r * r;
+    return r;
+  }
+  const double margin = (yi > 0.5 ? 1.0 : -1.0) * s;
+  *loss += margin > 0 ? std::log1p(std::exp(-margin))
+                      : -margin + std::log1p(std::exp(margin));
+  return GlmInverseLink(s, family) - yi;
+}
+
+// Turns one score window into residuals (written into `resid`, window-
+// relative) while accumulating per-config loss sums and bias gradients —
+// the representation-independent scalar middle of the epoch. The loop goes
+// row by row with the columns inner; each column's sums run over the rows
+// in order, whatever the rung width, so a k-wide column is bit-equal to its
+// width-1 run.
+void ConsumeScores(const DenseMatrix& scores, const DenseMatrix& y,
+                   size_t y_begin, GlmFamily family,
+                   const std::vector<double>& intercepts, DenseMatrix* resid,
+                   std::vector<double>* losses, std::vector<double>* bias) {
+  const size_t rows = scores.rows(), k = scores.cols();
+  for (size_t i = 0; i < rows; ++i) {
+    const double* srow = scores.Row(i);
+    double* rrow = resid->Row(i);
+    const double yi = y.At(y_begin + i, 0);
+    for (size_t c = 0; c < k; ++c) {
+      const double r =
+          AccumulateCell(srow[c] + intercepts[c], yi, family, &(*losses)[c]);
+      rrow[c] = r;
+      (*bias)[c] += r;
+    }
+  }
+}
+
+// The batch-GD epoch loop behind SharedScanTrain and TrainGlmOnOperand,
+// for a rung that ValidateRung accepted.
+Result<SharedScanResult> TrainRung(const Operand& x, const DenseMatrix& y,
+                                   const std::vector<FoldRange>& folds,
+                                   const std::vector<GlmConfig>& configs,
+                                   ThreadPool* pool,
+                                   laopt::PlanProfile* profile) {
+  const size_t d = x.cols(), k = configs.size();
+  const GlmConfig& base = configs.front();
+
+  std::vector<FoldProgram> programs;
+  programs.reserve(folds.size());
+  for (size_t f = 0; f < folds.size(); ++f) {
+    DMML_ASSIGN_OR_RETURN(FoldProgram p, BuildFoldProgram(x, folds[f], d, k, f));
+    programs.push_back(std::move(p));
+  }
   BufferedExecutor executor(pool);
-  executor.set_profile(prof.active());
+  executor.set_profile(profile);
 
-  GlmModel model;
-  model.family = config.family;
-  const double inv_n = 1.0 / static_cast<double>(n);
-  double prev_loss = std::numeric_limits<double>::infinity();
+  SharedScanResult result;
+  result.folds.resize(programs.size());
+  for (SharedScanFold& out : result.folds) {
+    out.intercepts.assign(k, 0.0);
+    out.loss_histories.assign(k, {});
+    for (auto& h : out.loss_histories) h.reserve(base.max_epochs);
+    out.epochs_run.assign(k, 0);
+  }
 
-  for (size_t epoch = 0; epoch < config.max_epochs; ++epoch) {
+  // Each (fold, config) column stops on its own tolerance: the epoch that
+  // meets the rule still updates and records its loss, then the column
+  // freezes. A fold whose columns have all stopped leaves the phase plans.
+  const size_t columns = programs.size() * k;
+  std::vector<char> live(columns, 1);
+  std::vector<double> prev_loss(columns, std::numeric_limits<double>::infinity());
+  std::vector<double> loss(columns);
+  size_t live_total = columns;
+  std::vector<ExprPtr> score_roots, grad_roots;
+  bool roots_stale = true;
+
+  // Hoisted epoch scratch: steady-state epochs allocate nothing.
+  std::vector<double> lrs(k), losses(k), bias(k);
+
+  size_t epoch = 0;
+  for (; epoch < base.max_epochs && live_total > 0; ++epoch) {
     const uint64_t epoch_start_us = obs::NowMicros();
-    DMML_ASSIGN_OR_RETURN(const DenseMatrix* scores,
-                          executor.Run(scores_expr));
-    double loss = 0;
-    double bias_grad = 0;
-    for (size_t i = 0; i < n; ++i) {
-      double s = scores->At(i, 0) + model.intercept;
-      double yi = y.At(i, 0);
-      if (config.family == GlmFamily::kGaussian) {
-        double resid = s - yi;
-        loss += 0.5 * resid * resid;
-        r->At(i, 0) = resid;
-      } else {
-        double sign_y = yi > 0.5 ? 1.0 : -1.0;
-        double m = sign_y * s;
-        loss += m > 0 ? std::log1p(std::exp(-m)) : -m + std::log1p(std::exp(m));
-        r->At(i, 0) = GlmInverseLink(s, config.family) - yi;
+    if (roots_stale) {
+      // One multi-root plan per phase over the folds still training, all
+      // sharing the bound X payload through windowed leaves.
+      score_roots.clear();
+      grad_roots.clear();
+      for (FoldProgram& p : programs) {
+        if (p.live == 0) continue;
+        if (p.score_lo) {
+          p.a_lo = static_cast<int>(score_roots.size());
+          score_roots.push_back(p.score_lo);
+        }
+        if (p.score_hi) {
+          p.a_hi = static_cast<int>(score_roots.size());
+          score_roots.push_back(p.score_hi);
+        }
+        p.b = static_cast<int>(grad_roots.size());
+        grad_roots.push_back(p.grad);
       }
-      bias_grad += r->At(i, 0);
+      roots_stale = false;
     }
-    loss *= inv_n;
-    if (config.l2 > 0) {
-      double w2 = 0;
-      for (size_t j = 0; j < d; ++j) w2 += w->At(j, 0) * w->At(j, 0);
-      loss += 0.5 * config.l2 * w2;
+    for (size_t c = 0; c < k; ++c) {
+      lrs[c] = configs[c].learning_rate /
+               (1.0 + configs[c].lr_decay * static_cast<double>(epoch));
     }
 
-    DMML_ASSIGN_OR_RETURN(const DenseMatrix* grad, executor.Run(grad_expr));
-    double lr = config.learning_rate /
-                (1.0 + config.lr_decay * static_cast<double>(epoch));
-    for (size_t j = 0; j < d; ++j) {
-      // grad is d x 1 in every dispatch (the 1 x d gevm outputs are
-      // reinterpreted by the executor); same contiguous values either way.
-      w->At(j, 0) -= lr * (grad->At(j, 0) * inv_n + config.l2 * w->At(j, 0));
-    }
-    if (config.fit_intercept) model.intercept -= lr * bias_grad * inv_n;
+    // Phase A: every training fold's scores from one wide plan — the shared
+    // scan. The inter-node scheduler overlaps fold branches.
+    DMML_ASSIGN_OR_RETURN(std::vector<const DenseMatrix*> scores,
+                          executor.RunMany(score_roots));
 
-    // Entry e is the loss at the weights epoch e started from: it falls out
-    // of the residual pass, so no second pass over X is needed.
-    model.loss_history.push_back(loss);
-    model.epochs_run = epoch + 1;
+    // Scalar middle: residuals, then each live column's loss at the weights
+    // this epoch started from, and its intercept step.
+    for (size_t f = 0; f < programs.size(); ++f) {
+      FoldProgram& p = programs[f];
+      if (p.live == 0) continue;
+      SharedScanFold& out = result.folds[f];
+      std::fill(losses.begin(), losses.end(), 0.0);
+      std::fill(bias.begin(), bias.end(), 0.0);
+      if (p.a_lo >= 0) {
+        ConsumeScores(*scores[p.a_lo], y, 0, base.family, out.intercepts,
+                      p.r_lo.get(), &losses, &bias);
+      }
+      if (p.a_hi >= 0) {
+        ConsumeScores(*scores[p.a_hi], y, p.hi_begin, base.family,
+                      out.intercepts, p.r_hi.get(), &losses, &bias);
+      }
+      for (size_t c = 0; c < k; ++c) {
+        if (!live[f * k + c]) continue;
+        double l = losses[c] * p.inv_n;
+        if (configs[c].l2 > 0) {
+          double w2 = 0;
+          for (size_t j = 0; j < d; ++j) w2 += p.w->At(j, c) * p.w->At(j, c);
+          l += 0.5 * configs[c].l2 * w2;
+        }
+        loss[f * k + c] = l;
+        out.loss_histories[c].push_back(l);
+        out.epochs_run[c] = epoch + 1;
+        if (base.fit_intercept) out.intercepts[c] -= lrs[c] * bias[c] * p.inv_n;
+      }
+    }
+
+    // Phase B: every training fold's gradient Xᵀ·R from one wide plan, then
+    // each live column's step w -= lr·(g/n + λ·w) and its stopping rule.
+    DMML_ASSIGN_OR_RETURN(std::vector<const DenseMatrix*> grads,
+                          executor.RunMany(grad_roots));
+    for (size_t f = 0; f < programs.size(); ++f) {
+      FoldProgram& p = programs[f];
+      if (p.live == 0) continue;
+      const DenseMatrix& g = *grads[p.b];
+      for (size_t c = 0; c < k; ++c) {
+        const size_t col = f * k + c;
+        if (!live[col]) continue;
+        for (size_t j = 0; j < d; ++j) {
+          p.w->At(j, c) -= lrs[c] * (g.At(j, c) * p.inv_n +
+                                     configs[c].l2 * p.w->At(j, c));
+        }
+        if (std::isfinite(prev_loss[col]) &&
+            std::fabs(prev_loss[col] - loss[col]) <=
+                configs[c].tolerance * std::max(1.0, prev_loss[col])) {
+          live[col] = 0;
+          --live_total;
+          if (--p.live == 0) roots_stale = true;
+        }
+        prev_loss[col] = loss[col];
+      }
+    }
     DMML_HISTOGRAM_OBSERVE("ml.glm.epoch_us", obs::ExponentialBuckets(32, 4, 10),
                            static_cast<double>(obs::NowMicros() - epoch_start_us));
-    if (std::isfinite(prev_loss) &&
-        std::fabs(prev_loss - loss) <=
-            config.tolerance * std::max(1.0, prev_loss)) {
-      break;
-    }
-    prev_loss = loss;
   }
-  model.weights = *w;
-  return model;
+  result.epochs_run = epoch;
+
+  // A sequential explorer scans a fold's training rows once per config per
+  // epoch it trains; the rung scans them once per epoch while any of the
+  // fold's configs trains.
+  uint64_t saved = 0;
+  for (SharedScanFold& out : result.folds) {
+    size_t total = 0, longest = 0;
+    for (size_t e : out.epochs_run) {
+      total += e;
+      longest = std::max(longest, e);
+    }
+    saved += total - longest;
+  }
+  DMML_COUNTER_ADD("modelsel.shared.epochs_saved", saved);
+
+  for (size_t f = 0; f < programs.size(); ++f) {
+    result.folds[f].weights = std::move(*programs[f].w);
+  }
+  return result;
+}
+
+}  // namespace
+
+Result<SharedScanResult> SharedScanTrain(const Operand& x, const DenseMatrix& y,
+                                         const std::vector<FoldRange>& folds,
+                                         const std::vector<GlmConfig>& configs,
+                                         ThreadPool* pool,
+                                         laopt::PlanProfile* profile) {
+  DMML_RETURN_IF_ERROR(ValidateRung(x, y, folds, configs));
+  DMML_TRACE_SPAN("modelsel.shared_scan");
+  const size_t k = configs.size();
+  DMML_COUNTER_INC("modelsel.shared.rungs");
+  DMML_COUNTER_ADD("modelsel.shared.configs_per_scan", k);
+  DMML_HISTOGRAM_OBSERVE("modelsel.rung_width", obs::ExponentialBuckets(1, 2, 9),
+                         static_cast<double>(k));
+  return TrainRung(x, y, folds, configs, pool, profile);
+}
+
+std::vector<GlmModel> UnpackFoldModels(SharedScanFold fold, GlmFamily family) {
+  const size_t k = fold.intercepts.size();
+  std::vector<GlmModel> models(k);
+  for (size_t c = 0; c < k; ++c) {
+    models[c].family = family;
+    models[c].weights = fold.weights.Column(c);
+    models[c].intercept = fold.intercepts[c];
+    models[c].loss_history = std::move(fold.loss_histories[c]);
+    models[c].epochs_run = fold.epochs_run[c];
+  }
+  return models;
+}
+
+Result<GlmModel> TrainGlmOnOperand(const Operand& x, const DenseMatrix& y,
+                                   const GlmConfig& config, ThreadPool* pool,
+                                   laopt::PlanProfile* profile) {
+  DMML_TRACE_SPAN("ml.glm.train_operand");
+  ScopedTrainerProfile prof(profile, "ml.glm.train_operand");
+  // A width-1 rung over one training window that spans every row. It runs
+  // the engine directly, so a single fit adds nothing to the modelsel
+  // rung counters.
+  const std::vector<FoldRange> all_rows = {{x.rows(), x.rows()}};
+  const std::vector<GlmConfig> configs = {config};
+  DMML_RETURN_IF_ERROR(ValidateRung(x, y, all_rows, configs));
+  DMML_ASSIGN_OR_RETURN(
+      SharedScanResult trained,
+      TrainRung(x, y, all_rows, configs, pool, prof.active()));
+  return std::move(
+      UnpackFoldModels(std::move(trained.folds.front()), config.family).front());
 }
 
 Status RunNormalEquationsOnOperand(const Operand& x, const DenseMatrix& y,

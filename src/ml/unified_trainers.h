@@ -1,8 +1,7 @@
 /// \file unified_trainers.h
-/// \brief The single-model trainers: batch-gradient GLM, the normal
-/// equations and Lloyd's k-means, each written once against a
-/// laopt::Operand and executed by the buffered executor's representation
-/// dispatch.
+/// \brief The trainers: batch-gradient GLM, the normal equations and Lloyd's
+/// k-means, each written once against a laopt::Operand and executed by the
+/// buffered executor's representation dispatch.
 ///
 /// These are the only implementations of the three algorithms. A caller
 /// binds its data as an Operand — `BorrowOperand` for a dense matrix,
@@ -10,15 +9,22 @@
 /// `factorized::MakeFactorizedOperand` for a normalized join — and calls
 /// the trainer; `ml::TrainGlm` (kBatchGd, kNormalEquations) and
 /// `ml::TrainKMeans` are the dense bindings. The matrix products of every
-/// epoch — X·w, Xᵀ·r, X·Cᵀ, Xᵀ·A, XᵀX, rowSums(X ⊙ X) — run through one
+/// epoch — X·W, Xᵀ·R, X·Cᵀ, Xᵀ·A, XᵀX, rowSums(X ⊙ X) — run through one
 /// BufferedExecutor, which dispatches each to the dense, CSR, compressed or
 /// factorized kernel matching the binding (laopt/executor.h). The scalar
 /// bookkeeping (residuals, losses, argmin assignment, center and weight
 /// updates) is representation-independent, so every binding runs the same
-/// arithmetic. The k-wide shared-scan engine (modelsel/shared_scan.h) is
-/// the one other batch-gradient loop; it trains many configs at once.
+/// arithmetic.
+///
+/// Batch GD has one engine, `SharedScanTrain`: a rung of k configs trained
+/// as one d×k weight matrix over one or more fold windows (the Columbus
+/// shared scan). `TrainGlmOnOperand` is its width-1 rung over one window
+/// spanning every row, and modelsel's batched trainers, grid search and
+/// successive halving are its wider rungs.
 #ifndef DMML_ML_UNIFIED_TRAINERS_H_
 #define DMML_ML_UNIFIED_TRAINERS_H_
+
+#include <vector>
 
 #include "la/dense_matrix.h"
 #include "laopt/operand.h"
@@ -35,19 +41,80 @@ namespace dmml::ml {
 
 /// \brief Non-owning Operand over a caller-held dense matrix — the standard
 /// way to run an existing `DenseMatrix` through the operand-based trainers
-/// (and the modelsel shared-scan engine) without copying or transferring
-/// ownership. The caller must outlive every executor run that reads it.
+/// without copying or transferring ownership. The caller must outlive every executor run that reads it.
 laopt::Operand BorrowOperand(const la::DenseMatrix& m);
 
+/// \brief One fold's validation rows as a contiguous range [begin, end) of
+/// the (pre-permuted) data. Training rows are the complement windows
+/// [0, begin) and [end, n). An empty range (begin == end) means "no held-out
+/// rows": the fold trains on all n rows.
+struct FoldRange {
+  size_t begin = 0;
+  size_t end = 0;
+};
+
+/// \brief Per-fold output of a rung: one weight column, intercept, loss
+/// history and epoch count per configuration.
+struct SharedScanFold {
+  la::DenseMatrix weights;                          ///< d x k, column c = config c.
+  std::vector<double> intercepts;                   ///< k entries.
+  std::vector<std::vector<double>> loss_histories;  ///< k histories.
+  std::vector<size_t> epochs_run;                   ///< k entries.
+};
+
+/// \brief Result of one rung over every fold.
+struct SharedScanResult {
+  std::vector<SharedScanFold> folds;  ///< One per input FoldRange, in order.
+  size_t epochs_run = 0;              ///< Epochs the rung executed.
+};
+
+/// \brief The batch-gradient GLM engine: trains every configuration of a
+/// rung on each fold's training windows at once, as one d×k weight matrix
+/// per fold, over any binding of `x`.
+///
+/// All configs must share family, max_epochs and fit_intercept, and every
+/// `solver` must be kBatchGd (InvalidArgument naming the solver otherwise);
+/// learning_rate, l2, lr_decay and tolerance may differ per config. `y` is
+/// n x 1 in the same row order as `x`. Training windows are zero-copy row
+/// slices of `x`, so every epoch is one X·W and one Xᵀ·R product per window
+/// on the binding's ranged kernels, run as two wide multi-root plans that
+/// the inter-node scheduler overlaps across folds. Each (fold, config)
+/// column then follows the single-model contract:
+///
+///  * the update is w -= lr·(g/n + λ·w), b -= lr·Σr/n, with
+///    lr = learning_rate / (1 + lr_decay·epoch);
+///  * `loss_histories[c][e]` is the loss at the weights epoch e started from
+///    (mean loss plus ½λ‖w‖²);
+///  * the column stops on its own `tolerance` (|Δloss| <= tol·max(1, loss)):
+///    the epoch that meets the rule still updates and records its loss, then
+///    the column freezes and `epochs_run[c]` keeps its count. The rung ends
+///    when every column has stopped or the budget runs out.
+///
+/// A k-wide dense epoch is bit-equal per column to width-1 epochs over the
+/// same windows. Steady-state epochs allocate nothing; each epoch's wall
+/// time is observed into `ml.glm.epoch_us`. A `profile` records per-node
+/// EXPLAIN ANALYZE evidence for the executor runs that have one root (a
+/// one-window rung); multi-root runs are not profiled. Every call is one
+/// model-selection rung: it runs under the `modelsel.shared_scan` span and
+/// adds to the `modelsel.shared.{rungs,configs_per_scan}` counters and the
+/// `modelsel.rung_width` histogram; `modelsel.shared.epochs_saved` adds
+/// Σ_c epochs_run − max_c epochs_run per fold.
+Result<SharedScanResult> SharedScanTrain(const laopt::Operand& x,
+                                         const la::DenseMatrix& y,
+                                         const std::vector<FoldRange>& folds,
+                                         const std::vector<GlmConfig>& configs,
+                                         ThreadPool* pool = GlobalThreadPool(),
+                                         laopt::PlanProfile* profile = nullptr);
+
+/// \brief Moves a fold's k columns out into k models of `family`.
+std::vector<GlmModel> UnpackFoldModels(SharedScanFold fold, GlmFamily family);
+
 /// \brief Full-batch gradient-descent GLM training on a design matrix in
-/// any physical representation. The per-epoch X·w and Xᵀ·r products run on
-/// the representation's native kernels (dense GEMM, CSR gemv/gevm, the
-/// compressed dictionary-pre-aggregating operators, or the factorized
-/// LMM/RMM); buffers are executor slots reused across epochs, so
-/// steady-state epochs allocate nothing. `config.solver` must be kBatchGd
-/// (InvalidArgument naming the solver otherwise). `loss_history[e]` is the
-/// loss at the weights epoch e started from; each epoch's wall time is
-/// observed into the `ml.glm.epoch_us` histogram.
+/// any physical representation: the width-1 rung of SharedScanTrain's
+/// engine over one training window spanning every row, with its contract
+/// (kBatchGd only, `loss_history[e]` at the weights epoch e started from,
+/// tolerance stop, `ml.glm.epoch_us` per epoch). A single fit is not model
+/// selection, so it leaves the `modelsel.*` rung counters untouched.
 ///
 /// Profiling (all three trainers): pass a `profile` to accumulate per-node
 /// EXPLAIN ANALYZE evidence across every epoch's executor runs

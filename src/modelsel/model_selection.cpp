@@ -159,22 +159,13 @@ Result<std::vector<GlmModel>> BatchedTrainGlm(const laopt::Operand& x,
   DMML_TRACE_SPAN("modelsel.batched_train");
   DMML_COUNTER_ADD("modelsel.configs_evaluated", configs.size());
   // One degenerate "fold" whose validation range is empty: every row is a
-  // training row, and the shared-scan engine runs one X·W and one Xᵀ·R per
-  // epoch for all configurations (one weight column each).
+  // training row, and the engine runs one X·W and one Xᵀ·R per epoch for
+  // all configurations (one weight column each).
   const std::vector<FoldRange> all_rows = {{x.rows(), x.rows()}};
   DMML_ASSIGN_OR_RETURN(SharedScanResult trained,
                         SharedScanTrain(x, y, all_rows, configs, pool));
-  SharedScanFold& fold = trained.folds.front();
-  const size_t m = configs.size();
-  std::vector<GlmModel> models(m);
-  for (size_t c = 0; c < m; ++c) {
-    models[c].family = configs.front().family;
-    models[c].weights = fold.weights.Column(c);
-    models[c].intercept = fold.intercepts[c];
-    models[c].loss_history = std::move(fold.loss_histories[c]);
-    models[c].epochs_run = trained.epochs_run;
-  }
-  return models;
+  return ml::UnpackFoldModels(std::move(trained.folds.front()),
+                              configs.front().family);
 }
 
 Result<GridSearchResult> GridSearchBatched(const DenseMatrix& x, const DenseMatrix& y,

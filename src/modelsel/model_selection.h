@@ -9,11 +9,16 @@
 /// separate GEMVs, and gradients from one Xᵀ·R GEMM. The speedup over
 /// sequential exploration grows with k.
 ///
-/// Batched training and batched grid search run on the shared-scan rung
-/// engine (modelsel/shared_scan.h): X may be bound to any physical
-/// representation via a laopt::Operand, folds are contiguous row ranges of a
-/// once-permuted copy (no per-fold GatherRows), and every epoch's linear
-/// algebra executes as wide multi-root laopt plans on a shared thread pool.
+/// Batched training and batched grid search are rungs of the one batch-GD
+/// engine, ml::SharedScanTrain (re-exported by modelsel/shared_scan.h): X
+/// may be bound to any physical representation via a laopt::Operand, folds
+/// are contiguous row ranges of a once-permuted copy (no per-fold
+/// GatherRows), and every epoch's linear algebra executes as wide
+/// multi-root laopt plans on a shared thread pool. Every config keeps the
+/// single-model contract of ml::TrainGlmOnOperand — batch GD only, its own
+/// tolerance stop and epoch count — so a rung of one config is that
+/// trainer, and GridSearchSequential and GridSearchBatched train the same
+/// models.
 #ifndef DMML_MODELSEL_MODEL_SELECTION_H_
 #define DMML_MODELSEL_MODEL_SELECTION_H_
 
@@ -89,7 +94,9 @@ Result<GridSearchResult> GridSearchSequential(const la::DenseMatrix& x,
 
 /// \brief Trains many GLM configurations *simultaneously* with shared data
 /// scans (one GEMM per epoch for all models). All configs must share family,
-/// max_epochs and fit_intercept; lr, l2 and lr_decay may differ per config.
+/// max_epochs and fit_intercept and run kBatchGd; lr, l2, lr_decay and
+/// tolerance may differ per config, and each model stops on its own
+/// tolerance.
 Result<std::vector<ml::GlmModel>> BatchedTrainGlm(
     const la::DenseMatrix& x, const la::DenseMatrix& y,
     const std::vector<ml::GlmConfig>& configs,

@@ -1,305 +1,17 @@
 #include "modelsel/shared_scan.h"
 
-#include <algorithm>
-#include <cmath>
-#include <memory>
-#include <string>
-#include <utility>
 #include <vector>
 
 #include "la/kernels.h"
-#include "laopt/executor.h"
-#include "laopt/expr.h"
 #include "ml/metrics.h"
 #include "modelsel/model_selection.h"
-#include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace dmml::modelsel {
 
 using la::DenseMatrix;
-using laopt::BufferedExecutor;
-using laopt::ExprNode;
-using laopt::ExprPtr;
 using laopt::Operand;
 using laopt::Repr;
-using ml::GlmConfig;
 using ml::GlmFamily;
-
-namespace {
-
-// The compiled per-fold slice of the rung's wide plan. Leaf payloads (W, the
-// residual windows, the per-config step/decay row vectors) are mutated in
-// place between executor runs; the expression nodes are built once per rung.
-struct FoldProgram {
-  std::shared_ptr<DenseMatrix> w;      // d x k weight matrix.
-  std::shared_ptr<DenseMatrix> r_lo;   // Window-relative residuals, [0, begin).
-  std::shared_ptr<DenseMatrix> r_hi;   // Window-relative residuals, [end, n).
-  std::shared_ptr<DenseMatrix> step;   // 1 x k: lr_c / n_train.
-  std::shared_ptr<DenseMatrix> decay;  // 1 x k: lr_c * l2_c.
-  ExprPtr score_lo;                    // Phase A root: X[0,b) %*% W.
-  ExprPtr score_hi;                    // Phase A root: X[e,n) %*% W.
-  ExprPtr update;                      // Phase B root: W'.
-  int a_lo = -1, a_hi = -1;            // Indices into the phase A root list.
-  size_t lo_rows = 0;                  // begin.
-  size_t hi_begin = 0, hi_rows = 0;    // end, n - end.
-  double inv_n = 0;                    // 1 / n_train.
-};
-
-Status ValidateRung(const Operand& x, const DenseMatrix& y,
-                    const std::vector<FoldRange>& folds,
-                    const std::vector<GlmConfig>& configs) {
-  if (!x.bound()) return Status::InvalidArgument("shared scan: unbound X");
-  const size_t n = x.rows(), d = x.cols();
-  if (n == 0 || d == 0) return Status::InvalidArgument("shared scan: empty data");
-  if (y.rows() != n || y.cols() != 1) {
-    return Status::InvalidArgument("shared scan: y must be n x 1");
-  }
-  if (folds.empty()) return Status::InvalidArgument("shared scan: no folds");
-  for (const FoldRange& f : folds) {
-    if (f.begin > f.end || f.end > n) {
-      return Status::InvalidArgument("shared scan: bad fold range");
-    }
-    if (f.end - f.begin >= n) {
-      return Status::InvalidArgument("shared scan: fold leaves no training rows");
-    }
-  }
-  if (configs.empty()) return Status::InvalidArgument("shared scan: no configs");
-  const GlmConfig& base = configs.front();
-  for (const auto& c : configs) {
-    if (c.family != base.family || c.max_epochs != base.max_epochs ||
-        c.fit_intercept != base.fit_intercept) {
-      return Status::InvalidArgument(
-          "shared scan: configs must share family, epochs and intercept");
-    }
-    if (c.learning_rate <= 0) {
-      return Status::InvalidArgument("learning_rate must be positive");
-    }
-  }
-  if (base.family == GlmFamily::kBinomial) {
-    for (size_t i = 0; i < n; ++i) {
-      double v = y.At(i, 0);
-      if (v != 0.0 && v != 1.0) {
-        return Status::InvalidArgument("Binomial family requires 0/1 labels");
-      }
-    }
-  }
-  return Status::OK();
-}
-
-// Builds one fold's leaves and roots. Training windows are zero-copy row
-// slices of the shared X operand, so every fold's branch of the rung plan
-// reads the same bound payload through ranged kernels.
-Result<FoldProgram> BuildFoldProgram(const Operand& x, const FoldRange& fold,
-                                     size_t d, size_t k, size_t fold_id) {
-  const size_t n = x.rows();
-  FoldProgram p;
-  p.lo_rows = fold.begin;
-  p.hi_begin = fold.end;
-  p.hi_rows = n - fold.end;
-  p.inv_n = 1.0 / static_cast<double>(p.lo_rows + p.hi_rows);
-  const std::string tag = std::to_string(fold_id);
-
-  p.w = std::make_shared<DenseMatrix>(d, k);
-  p.step = std::make_shared<DenseMatrix>(1, k);
-  p.decay = std::make_shared<DenseMatrix>(1, k);
-  DMML_ASSIGN_OR_RETURN(ExprPtr wleaf,
-                        ExprNode::InputOperand(Operand(p.w), "W" + tag));
-  DMML_ASSIGN_OR_RETURN(ExprPtr step_leaf,
-                        ExprNode::InputOperand(Operand(p.step), "step" + tag));
-  DMML_ASSIGN_OR_RETURN(ExprPtr decay_leaf,
-                        ExprNode::InputOperand(Operand(p.decay), "decay" + tag));
-
-  ExprPtr grad;
-  if (p.lo_rows > 0) {
-    DMML_ASSIGN_OR_RETURN(
-        ExprPtr xlo, ExprNode::InputOperand(x.Slice(0, p.lo_rows), "Xlo" + tag));
-    p.r_lo = std::make_shared<DenseMatrix>(p.lo_rows, k);
-    DMML_ASSIGN_OR_RETURN(ExprPtr rlo,
-                          ExprNode::InputOperand(Operand(p.r_lo), "Rlo" + tag));
-    DMML_ASSIGN_OR_RETURN(p.score_lo, ExprNode::MatMul(xlo, wleaf));
-    DMML_ASSIGN_OR_RETURN(ExprPtr xlo_t, ExprNode::Transpose(xlo));
-    DMML_ASSIGN_OR_RETURN(grad, ExprNode::MatMul(xlo_t, rlo));
-  }
-  if (p.hi_rows > 0) {
-    DMML_ASSIGN_OR_RETURN(
-        ExprPtr xhi, ExprNode::InputOperand(x.Slice(p.hi_begin, n), "Xhi" + tag));
-    p.r_hi = std::make_shared<DenseMatrix>(p.hi_rows, k);
-    DMML_ASSIGN_OR_RETURN(ExprPtr rhi,
-                          ExprNode::InputOperand(Operand(p.r_hi), "Rhi" + tag));
-    DMML_ASSIGN_OR_RETURN(p.score_hi, ExprNode::MatMul(xhi, wleaf));
-    DMML_ASSIGN_OR_RETURN(ExprPtr xhi_t, ExprNode::Transpose(xhi));
-    DMML_ASSIGN_OR_RETURN(ExprPtr ghi, ExprNode::MatMul(xhi_t, rhi));
-    if (grad) {
-      DMML_ASSIGN_OR_RETURN(grad, ExprNode::Add(grad, ghi));
-    } else {
-      grad = std::move(ghi);
-    }
-  }
-  // W' = W - (G . diag(step) + W . diag(decay)): the per-config lr / L2
-  // heterogeneity enters as column-wise scaling, so W stays one dense GEMM
-  // operand for every config in the rung.
-  DMML_ASSIGN_OR_RETURN(ExprPtr g_step, ExprNode::ScaleColumns(grad, step_leaf));
-  DMML_ASSIGN_OR_RETURN(ExprPtr w_decay,
-                        ExprNode::ScaleColumns(wleaf, decay_leaf));
-  DMML_ASSIGN_OR_RETURN(ExprPtr delta, ExprNode::Add(g_step, w_decay));
-  DMML_ASSIGN_OR_RETURN(p.update, ExprNode::Subtract(wleaf, delta));
-  return p;
-}
-
-// Turns one score window into residuals (written into `resid`, window-
-// relative) while accumulating per-config losses and bias gradients — the
-// representation-independent scalar middle of the epoch, identical to the
-// historical BatchedTrainGlm row loop.
-void ConsumeScores(const DenseMatrix& scores, const DenseMatrix& y,
-                   size_t y_begin, GlmFamily family,
-                   const std::vector<double>& intercepts, DenseMatrix* resid,
-                   std::vector<double>* losses, std::vector<double>* bias) {
-  const size_t rows = scores.rows(), k = scores.cols();
-  for (size_t i = 0; i < rows; ++i) {
-    const double* srow = scores.Row(i);
-    double* rrow = resid->Row(i);
-    const double yi = y.At(y_begin + i, 0);
-    for (size_t c = 0; c < k; ++c) {
-      double s = srow[c] + intercepts[c];
-      if (family == GlmFamily::kGaussian) {
-        double r = s - yi;
-        (*losses)[c] += 0.5 * r * r;
-        rrow[c] = r;
-      } else {
-        double sign_y = yi > 0.5 ? 1.0 : -1.0;
-        double margin = sign_y * s;
-        (*losses)[c] += margin > 0 ? std::log1p(std::exp(-margin))
-                                   : -margin + std::log1p(std::exp(margin));
-        rrow[c] = ml::GlmInverseLink(s, family) - yi;
-      }
-      (*bias)[c] += rrow[c];
-    }
-  }
-}
-
-}  // namespace
-
-Result<SharedScanResult> SharedScanTrain(const Operand& x, const DenseMatrix& y,
-                                         const std::vector<FoldRange>& folds,
-                                         const std::vector<GlmConfig>& configs,
-                                         ThreadPool* pool) {
-  DMML_RETURN_IF_ERROR(ValidateRung(x, y, folds, configs));
-  DMML_TRACE_SPAN("modelsel.shared_scan");
-  const size_t d = x.cols(), k = configs.size();
-  const GlmConfig& base = configs.front();
-
-  DMML_COUNTER_INC("modelsel.shared.rungs");
-  DMML_COUNTER_ADD("modelsel.shared.configs_per_scan", k);
-  DMML_HISTOGRAM_OBSERVE("modelsel.rung_width", obs::ExponentialBuckets(1, 2, 9),
-                         static_cast<double>(k));
-  // A sequential explorer scans the fold's training rows once per config per
-  // epoch; the shared rung scans them once per epoch, period.
-  DMML_COUNTER_ADD("modelsel.shared.epochs_saved",
-                   (k - 1) * base.max_epochs * folds.size());
-
-  // Compile the rung: one multi-root plan per phase, all folds' branches
-  // sharing the bound X payload through windowed leaves.
-  std::vector<FoldProgram> programs;
-  programs.reserve(folds.size());
-  std::vector<ExprPtr> score_roots;
-  std::vector<ExprPtr> update_roots;
-  for (size_t f = 0; f < folds.size(); ++f) {
-    DMML_ASSIGN_OR_RETURN(FoldProgram p,
-                          BuildFoldProgram(x, folds[f], d, k, f));
-    if (p.score_lo) {
-      p.a_lo = static_cast<int>(score_roots.size());
-      score_roots.push_back(p.score_lo);
-    }
-    if (p.score_hi) {
-      p.a_hi = static_cast<int>(score_roots.size());
-      score_roots.push_back(p.score_hi);
-    }
-    update_roots.push_back(p.update);
-    programs.push_back(std::move(p));
-  }
-
-  BufferedExecutor executor(pool);
-  SharedScanResult result;
-  result.epochs_run = base.max_epochs;
-  result.folds.resize(programs.size());
-  for (size_t f = 0; f < programs.size(); ++f) {
-    result.folds[f].intercepts.assign(k, 0.0);
-    result.folds[f].loss_histories.assign(k, {});
-    for (auto& h : result.folds[f].loss_histories) h.reserve(base.max_epochs);
-  }
-
-  // Hoisted epoch scratch: steady-state epochs allocate nothing.
-  std::vector<double> lrs(k), losses(k), bias(k);
-
-  for (size_t epoch = 0; epoch < base.max_epochs; ++epoch) {
-    for (size_t c = 0; c < k; ++c) {
-      lrs[c] = configs[c].learning_rate /
-               (1.0 + configs[c].lr_decay * static_cast<double>(epoch));
-    }
-    for (FoldProgram& p : programs) {
-      for (size_t c = 0; c < k; ++c) {
-        p.step->At(0, c) = lrs[c] * p.inv_n;
-        p.decay->At(0, c) = lrs[c] * configs[c].l2;
-      }
-    }
-
-    // Phase A: every fold's score matrices from one wide plan — the shared
-    // scan. The inter-node scheduler overlaps fold branches.
-    DMML_ASSIGN_OR_RETURN(std::vector<const DenseMatrix*> scores,
-                          executor.RunMany(score_roots));
-
-    // Scalar middle: residuals, losses, bias gradients, intercepts.
-    for (size_t f = 0; f < programs.size(); ++f) {
-      FoldProgram& p = programs[f];
-      SharedScanFold& out = result.folds[f];
-      std::fill(losses.begin(), losses.end(), 0.0);
-      std::fill(bias.begin(), bias.end(), 0.0);
-      if (p.a_lo >= 0) {
-        ConsumeScores(*scores[p.a_lo], y, 0, base.family, out.intercepts,
-                      p.r_lo.get(), &losses, &bias);
-      }
-      if (p.a_hi >= 0) {
-        ConsumeScores(*scores[p.a_hi], y, p.hi_begin, base.family,
-                      out.intercepts, p.r_hi.get(), &losses, &bias);
-      }
-      if (base.fit_intercept) {
-        for (size_t c = 0; c < k; ++c) {
-          out.intercepts[c] -= lrs[c] * bias[c] * p.inv_n;
-        }
-      }
-      for (size_t c = 0; c < k; ++c) {
-        out.loss_histories[c].push_back(losses[c] * p.inv_n);
-      }
-    }
-
-    // Phase B: every fold's weight update from one wide plan; copy W' back
-    // into the W payloads the next epoch's phase A reads.
-    DMML_ASSIGN_OR_RETURN(std::vector<const DenseMatrix*> updated,
-                          executor.RunMany(update_roots));
-    for (size_t f = 0; f < programs.size(); ++f) {
-      FoldProgram& p = programs[f];
-      std::copy(updated[f]->data(), updated[f]->data() + d * k,
-                p.w->data());
-      // The L2 term of the reported loss uses the post-update weights,
-      // matching the historical batched trainer.
-      for (size_t c = 0; c < k; ++c) {
-        if (configs[c].l2 > 0) {
-          double w2 = 0;
-          for (size_t j = 0; j < d; ++j) {
-            w2 += p.w->At(j, c) * p.w->At(j, c);
-          }
-          result.folds[f].loss_histories[c].back() += 0.5 * configs[c].l2 * w2;
-        }
-      }
-    }
-  }
-
-  for (size_t f = 0; f < programs.size(); ++f) {
-    result.folds[f].weights = std::move(*programs[f].w);
-  }
-  return result;
-}
 
 Result<std::vector<double>> ScoreConfigsOnWindow(
     const Operand& x, const DenseMatrix& y, size_t row_begin, size_t row_end,
@@ -334,9 +46,8 @@ Result<std::vector<double>> ScoreConfigsOnWindow(
           weights, v.window_begin(), v.window_end(), &scores, pool));
       break;
     case Repr::kFactorized:
-      // No ranged factorized kernels: materialize the window (ToDense slices
-      // the row range) and score dense.
-      la::MultiplyInto(v.ToDense(pool), weights, &scores, pool);
+      DMML_ASSIGN_OR_RETURN(scores, v.linear()->Multiply(weights, v.window_begin(),
+                                                         v.window_end(), pool));
       break;
   }
 

@@ -1,31 +1,27 @@
 /// \file shared_scan.h
-/// \brief The shared-scan rung engine: one pass over X trains every
+/// \brief Shared-scan model selection: one pass over X trains every
 /// configuration in the rung, over any physical representation of X.
 ///
 /// This is the Columbus/MSMS observation taken to its laopt conclusion. A
 /// rung of k GLM configurations (shared family / epoch budget / intercept
-/// flag; heterogeneous learning rate, L2 and lr-decay) trains as ONE
-/// d x k weight matrix W: an epoch costs one X·W product and one Xᵀ·R
-/// product per fold — dense GEMM, CSR, or CLA ranged kernels, picked by the
-/// representation X is bound to — instead of k separate passes. Per-config
-/// hyperparameter heterogeneity is column-wise scaling (laopt's
-/// kScaleColumns node), so W stays dense and the update is pure linear
-/// algebra:
-///
-///   W' = W − ( G · diag(lr ∘ 1/n)  +  W · diag(lr ∘ λ) )
+/// flag; heterogeneous learning rate, L2, lr-decay and tolerance) trains as
+/// ONE d x k weight matrix W: an epoch costs one X·W product and one Xᵀ·R
+/// product per fold window — dense GEMM, CSR, CLA or factorized ranged
+/// kernels, picked by the representation X is bound to — instead of k
+/// separate passes. The engine is the one batch-GD trainer,
+/// ml::SharedScanTrain (ml/unified_trainers.h); this header re-exports it
+/// with its fold types and adds validation scoring and the fold layout.
 ///
 /// Cross-validation folds are contiguous row ranges of a once-permuted X:
 /// fold f's validation rows are [begin, end), its training rows the two
 /// windows [0, begin) and [end, n). Leave-one-fold-out training binds those
 /// windows as zero-copy laopt::Operand row slices — the executor's ranged
-/// kernels read X in place; no GatherRows on the hot path. Each rung is a
-/// wide multi-root laopt plan (per-fold score and update roots sharing the
-/// bound X payload) executed by BufferedExecutor::RunMany, so the
-/// inter-node scheduler overlaps fold branches on one thread pool.
+/// kernels read X in place; no GatherRows on the hot path.
 ///
 /// Observability: `modelsel.shared.rungs`, `modelsel.shared.configs_per_scan`
 /// and `modelsel.shared.epochs_saved` counters, plus the
-/// `modelsel.rung_width` histogram.
+/// `modelsel.rung_width` histogram. They count SharedScanTrain calls only:
+/// a single ml::TrainGlmOnOperand fit runs the same engine without them.
 #ifndef DMML_MODELSEL_SHARED_SCAN_H_
 #define DMML_MODELSEL_SHARED_SCAN_H_
 
@@ -35,6 +31,7 @@
 #include "la/dense_matrix.h"
 #include "laopt/operand.h"
 #include "ml/glm.h"
+#include "ml/unified_trainers.h"
 #include "util/result.h"
 #include "util/thread_pool.h"
 
@@ -42,42 +39,10 @@ namespace dmml::modelsel {
 
 struct KFold;
 
-/// \brief One fold's validation rows as a contiguous range [begin, end) of
-/// the (pre-permuted) data. Training rows are the complement windows
-/// [0, begin) and [end, n). An empty range (begin == end) means "no held-out
-/// rows": the fold trains on all n rows (the train-everything degenerate
-/// case BatchedTrainGlm uses).
-struct FoldRange {
-  size_t begin = 0;
-  size_t end = 0;
-};
-
-/// \brief Per-fold output of a shared-scan rung: one weight column, one
-/// intercept and one loss history per configuration.
-struct SharedScanFold {
-  la::DenseMatrix weights;                          ///< d x k, column c = config c.
-  std::vector<double> intercepts;                   ///< k entries.
-  std::vector<std::vector<double>> loss_histories;  ///< k histories.
-};
-
-/// \brief Result of one shared-scan rung over every fold.
-struct SharedScanResult {
-  std::vector<SharedScanFold> folds;  ///< One per input FoldRange, in order.
-  size_t epochs_run = 0;              ///< == configs' shared max_epochs.
-};
-
-/// \brief Trains every configuration of the rung simultaneously on each
-/// fold's training windows (full-batch gradient descent, exactly the
-/// BatchedTrainGlm recurrence). All configs must share family, max_epochs
-/// and fit_intercept; learning_rate, l2 and lr_decay may differ per config.
-/// `x` may be bound to any representation; `y` is n x 1 in the same (already
-/// permuted) row order. Steady-state epochs are allocation-free: leaf
-/// payloads are mutated in place and executor buffers persist across epochs.
-Result<SharedScanResult> SharedScanTrain(const laopt::Operand& x,
-                                         const la::DenseMatrix& y,
-                                         const std::vector<FoldRange>& folds,
-                                         const std::vector<ml::GlmConfig>& configs,
-                                         ThreadPool* pool = GlobalThreadPool());
+using ml::FoldRange;
+using ml::SharedScanFold;
+using ml::SharedScanResult;
+using ml::SharedScanTrain;
 
 /// \brief Higher-is-better validation metric for rung/fold scoring.
 enum class FoldMetric {
@@ -87,7 +52,8 @@ enum class FoldMetric {
 };
 
 /// \brief Scores all k configurations on validation rows [row_begin,
-/// row_end) of `x` without gathering: one ranged X·W product feeds every
+/// row_end) of `x` without gathering: one ranged X·W product on the
+/// binding's kernels (a factorized X runs its windowed LMM) feeds every
 /// config's predictions. Returns one score per config (weights column).
 Result<std::vector<double>> ScoreConfigsOnWindow(
     const laopt::Operand& x, const la::DenseMatrix& y, size_t row_begin,

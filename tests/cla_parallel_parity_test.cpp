@@ -198,17 +198,19 @@ TEST(ClaRangedKernelTest, SubRangesComposeToFullRange) {
   for (const auto& g : cm.groups()) {
     // MultiplyVector: ranged writes are disjoint per row.
     DenseMatrix full(n, 1), split(n, 1);
-    g->MultiplyVectorRange(v.data(), nullptr, full.data(), 0, n);
+    g->MultiplyVectorRange(v.data(), nullptr, full.data(), 0, n, 0);
     for (size_t c = 0; c + 1 < cuts.size(); ++c) {
-      g->MultiplyVectorRange(v.data(), nullptr, split.data(), cuts[c], cuts[c + 1]);
+      g->MultiplyVectorRange(v.data(), nullptr, split.data(), cuts[c],
+                             cuts[c + 1], 0);
     }
     ExpectMatricesNear(full, split, 1e-12);
 
     // VectorMultiply: ranged contributions accumulate.
     DenseMatrix vm_full(1, d), vm_split(1, d);
-    g->VectorMultiplyRange(u.data(), vm_full.data(), 0, n);
+    g->VectorMultiplyRange(u.data(), vm_full.data(), 0, n, 0);
     for (size_t c = 0; c + 1 < cuts.size(); ++c) {
-      g->VectorMultiplyRange(u.data(), vm_split.data(), cuts[c], cuts[c + 1]);
+      g->VectorMultiplyRange(u.data(), vm_split.data(), cuts[c], cuts[c + 1],
+                             0);
     }
     ExpectMatricesNear(vm_full, vm_split, 1e-12);
 
@@ -262,8 +264,8 @@ TEST(ClaRangedKernelTest, ExplicitPreaggMatchesThreadLocalFallback) {
     std::vector<double> preagg(g->DictionarySize());
     g->PreaggregateVector(v.data(), preagg.data());
     DenseMatrix with(m.rows(), 1), without(m.rows(), 1);
-    g->MultiplyVectorRange(v.data(), preagg.data(), with.data(), 0, m.rows());
-    g->MultiplyVectorRange(v.data(), nullptr, without.data(), 0, m.rows());
+    g->MultiplyVectorRange(v.data(), preagg.data(), with.data(), 0, m.rows(), 0);
+    g->MultiplyVectorRange(v.data(), nullptr, without.data(), 0, m.rows(), 0);
     EXPECT_TRUE(with == without);
   }
 }

@@ -1,16 +1,22 @@
 // Tests for factorized learning over normalized data: the factorized
-// operators agree exactly with their materialized counterparts, the
-// operand trainers learn through a factorized binding, and the redundancy
-// accounting behaves as the tuple/feature ratios change. Parity of the
+// operators — whole and over a window of fact rows — agree with their
+// materialized counterparts, the operand trainers learn through a
+// factorized binding, and the redundancy accounting behaves as the
+// tuple/feature ratios change. Parity of the
 // trainers with the dense binding is in laopt_repr_test.
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <memory>
+#include <string>
+#include <utility>
 
 #include "data/generators.h"
 #include "factorized/factorized_operand.h"
 #include "factorized/normalized_matrix.h"
 #include "la/kernels.h"
+#include "laopt/executor.h"
+#include "laopt/expr.h"
 #include "ml/metrics.h"
 #include "ml/unified_trainers.h"
 
@@ -79,6 +85,82 @@ TEST(NormalizedMatrixTest, RowSquaredNormsMatchMaterialized) {
   for (size_t i = 0; i < nm.rows(); ++i) {
     EXPECT_NEAR(norms.At(i, 0), la::Dot(mat.Row(i), mat.Row(i), mat.cols()), 1e-9);
   }
+}
+
+TEST(NormalizedMatrixTest, RangedProductsMatchMaterializedWindows) {
+  // Two attribute tables, so every window slices the entity block and both
+  // foreign-key columns while the attribute products cover whole tables.
+  data::StarSchemaOptions options;
+  options.ns = 50;
+  options.nr = 6;
+  options.ds = 2;
+  options.dr = 3;
+  auto ds1 = data::MakeStarSchema(options, 41);
+  options.nr = 4;
+  options.dr = 2;
+  auto ds2 = data::MakeStarSchema(options, 42);
+  auto nm = NormalizedMatrix::Make(ds1.xs, {{ds1.xr, ds1.fk}, {ds2.xr, ds2.fk}});
+  ASSERT_TRUE(nm.ok());
+  const size_t n = nm->rows();
+  const DenseMatrix full = nm->Materialize();
+  const DenseMatrix m = data::GaussianMatrix(nm->cols(), 3, 43);
+  const std::pair<size_t, size_t> windows[] = {
+      {0, 0}, {0, 1}, {n - 1, n}, {0, n}, {17, 33}};
+  for (const auto& [b, e] : windows) {
+    SCOPED_TRACE("window [" + std::to_string(b) + ", " + std::to_string(e) + ")");
+    const DenseMatrix slice = full.SliceRows(b, e);
+    auto lmm = nm->Multiply(m, b, e);
+    ASSERT_TRUE(lmm.ok()) << lmm.status().message();
+    EXPECT_EQ(lmm->rows(), e - b);
+    EXPECT_TRUE(lmm->ApproxEquals(la::Multiply(slice, m), 1e-12));
+
+    const DenseMatrix r = data::GaussianMatrix(e - b, 3, 44);
+    auto rmm = nm->TransposeMultiply(r, b, e);
+    ASSERT_TRUE(rmm.ok()) << rmm.status().message();
+    EXPECT_EQ(rmm->rows(), nm->cols());
+    EXPECT_TRUE(rmm->ApproxEquals(la::Multiply(la::Transpose(slice), r), 1e-12));
+  }
+  // The full window is the unwindowed product, bit for bit.
+  EXPECT_TRUE(*nm->Multiply(m, 0, n) == *nm->Multiply(m));
+  const DenseMatrix u = data::GaussianMatrix(n, 2, 45);
+  EXPECT_TRUE(*nm->TransposeMultiply(u, 0, n) == *nm->TransposeMultiply(u));
+
+  EXPECT_FALSE(nm->Multiply(m, 3, 2).ok()) << "inverted window";
+  EXPECT_FALSE(nm->Multiply(m, 0, n + 1).ok()) << "window past the last row";
+  EXPECT_FALSE(nm->TransposeMultiply(DenseMatrix(4, 1), 0, 5).ok())
+      << "operand rows must match the window";
+}
+
+TEST(NormalizedMatrixTest, ExecutorRunsWindowedTransposeProductsFactorized) {
+  // t(X[b:e)) %*% R runs the windowed RMM with no densify fallback, while
+  // t(X[b:e)) %*% X[b:e) must not answer with the whole-matrix Gramian
+  // (Orion's cofactors cover every row): it takes the RMM against its
+  // densified window instead.
+  auto nm = std::make_shared<const NormalizedMatrix>(SmallNormalized(46));
+  const size_t b = 10, e = 35;
+  const laopt::Operand x = MakeFactorizedOperand(nm).Slice(b, e);
+  auto r = std::make_shared<DenseMatrix>(data::GaussianMatrix(e - b, 2, 47));
+  auto xleaf = laopt::ExprNode::InputOperand(x, "X");
+  auto rleaf = laopt::ExprNode::InputOperand(laopt::Operand(r), "R");
+  ASSERT_TRUE(xleaf.ok() && rleaf.ok());
+  auto xt = laopt::ExprNode::Transpose(*xleaf);
+  ASSERT_TRUE(xt.ok());
+  auto rmm = laopt::ExprNode::MatMul(*xt, *rleaf);
+  auto gram = laopt::ExprNode::MatMul(*xt, *xleaf);
+  ASSERT_TRUE(rmm.ok() && gram.ok());
+  const DenseMatrix window = nm->Materialize().SliceRows(b, e);
+
+  laopt::BufferedExecutor executor;
+  laopt::ExecStats stats;
+  auto rmm_out = executor.Run(*rmm, &stats);
+  ASSERT_TRUE(rmm_out.ok()) << rmm_out.status().message();
+  EXPECT_TRUE((*rmm_out)->ApproxEquals(la::Multiply(la::Transpose(window), *r), 1e-12));
+  EXPECT_EQ(stats.densify_fallbacks, 0u);
+
+  auto gram_out = executor.Run(*gram);
+  ASSERT_TRUE(gram_out.ok()) << gram_out.status().message();
+  EXPECT_TRUE((*gram_out)->ApproxEquals(la::Gram(window), 1e-12));
+  EXPECT_FALSE((*gram_out)->ApproxEquals(la::Gram(nm->Materialize()), 1e-6));
 }
 
 TEST(NormalizedMatrixTest, ShapeErrors) {

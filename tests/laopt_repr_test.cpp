@@ -8,7 +8,9 @@
 //    and Lloyd's k-means (ml/unified_trainers.h) over dense, CSR, CLA and
 //    factorized views of one star join must match the dense binding, batch
 //    GD must also match a per-row reference loop, no binding may densify,
-//    and every binding reports the trainer step histograms.
+//    and every binding reports the trainer step histograms. A cross-
+//    validated rung and its window scoring must match the dense binding
+//    without densifying either.
 //  * BufferedExecutor::Bind rebinding — different data, different shape,
 //    different representation — must never surface stale buffer contents.
 //  * EvalExpression threads the caller's pool through to the kernels
@@ -35,6 +37,7 @@
 #include "laopt/parser.h"
 #include "ml/metrics.h"
 #include "ml/unified_trainers.h"
+#include "modelsel/shared_scan.h"
 #include "obs/metrics.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -408,6 +411,68 @@ TEST_P(OneEngineParityTest, TrainersNeverDensifyAndObserveStepHistograms) {
 
   EXPECT_EQ(CounterValue("laopt.repr.densify_fallbacks"), fallbacks)
       << "batch GD and k-means must run on the binding's native kernels";
+}
+
+TEST_P(OneEngineParityTest, CrossValidatedRungMatchesDenseBindingWithoutDensifying) {
+  // A 3-fold, 3-config rung: the middle fold trains through two windows of
+  // X, the outer folds through one, and each fold scores on its held-out
+  // window. Every binding runs its own windowed kernels — a factorized X
+  // slices the fact rows and keys, never materializing a window.
+  const size_t n = join_.dense->rows();
+  const std::vector<modelsel::FoldRange> folds = {
+      {0, n / 3}, {n / 3, 2 * n / 3}, {2 * n / 3, n}};
+  for (ml::GlmFamily family : {ml::GlmFamily::kGaussian, ml::GlmFamily::kBinomial}) {
+    const bool gaussian = family == ml::GlmFamily::kGaussian;
+    SCOPED_TRACE(gaussian ? "gaussian" : "binomial");
+    std::vector<ml::GlmConfig> configs(3);
+    for (size_t c = 0; c < configs.size(); ++c) {
+      configs[c].family = family;
+      configs[c].learning_rate = (gaussian ? 0.05 : 0.25) * static_cast<double>(c + 1);
+      configs[c].l2 = 0.02 * static_cast<double>(c);
+      configs[c].max_epochs = 15;
+      configs[c].tolerance = 0;
+    }
+    const DenseMatrix& y = gaussian ? join_.y_gaussian : join_.y_binomial;
+    const modelsel::FoldMetric metric =
+        gaussian ? modelsel::FoldMetric::kNegRmse : modelsel::FoldMetric::kNegLogLoss;
+
+    const uint64_t fallbacks = CounterValue("laopt.repr.densify_fallbacks");
+    auto bound = modelsel::SharedScanTrain(x_, y, folds, configs, &pool_);
+    ASSERT_TRUE(bound.ok()) << bound.status().message();
+    std::vector<std::vector<double>> bound_scores;
+    for (size_t f = 0; f < folds.size(); ++f) {
+      auto scores = modelsel::ScoreConfigsOnWindow(
+          x_, y, folds[f].begin, folds[f].end, bound->folds[f].weights,
+          bound->folds[f].intercepts, family, metric, &pool_);
+      ASSERT_TRUE(scores.ok()) << scores.status().message();
+      bound_scores.push_back(*scores);
+    }
+    EXPECT_EQ(CounterValue("laopt.repr.densify_fallbacks"), fallbacks)
+        << "the rung and its scoring must run on the binding's native kernels";
+
+    auto dense = modelsel::SharedScanTrain(dense_x_, y, folds, configs, &pool_);
+    ASSERT_TRUE(dense.ok()) << dense.status().message();
+    EXPECT_EQ(bound->epochs_run, dense->epochs_run);
+    for (size_t f = 0; f < folds.size(); ++f) {
+      SCOPED_TRACE("fold " + std::to_string(f));
+      const modelsel::SharedScanFold& b = bound->folds[f];
+      const modelsel::SharedScanFold& d = dense->folds[f];
+      EXPECT_LE(MaxAbsDiff(b.weights, d.weights), 1e-9);
+      auto scores = modelsel::ScoreConfigsOnWindow(
+          dense_x_, y, folds[f].begin, folds[f].end, d.weights, d.intercepts,
+          family, metric, &pool_);
+      ASSERT_TRUE(scores.ok()) << scores.status().message();
+      for (size_t c = 0; c < configs.size(); ++c) {
+        EXPECT_NEAR(b.intercepts[c], d.intercepts[c], 1e-9) << "config " << c;
+        EXPECT_NEAR(bound_scores[f][c], (*scores)[c], 1e-9) << "config " << c;
+        ASSERT_EQ(b.loss_histories[c].size(), d.loss_histories[c].size());
+        for (size_t e = 0; e < d.loss_histories[c].size(); ++e) {
+          EXPECT_NEAR(b.loss_histories[c][e], d.loss_histories[c][e], 1e-9)
+              << "config " << c << " epoch " << e;
+        }
+      }
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Bindings, OneEngineParityTest,

@@ -167,7 +167,9 @@ TEST(VerifyPlanTest, RejectsStaleDerivedShape) {
   ASSERT_TRUE(HasRule(diags, "verify.stale_shape")) << RenderDiagnostics(diags);
   // The diagnostic names the offending node.
   for (const Diagnostic& d : diags) {
-    if (d.rule == "verify.stale_shape") EXPECT_FALSE(d.node.empty());
+    if (d.rule == "verify.stale_shape") {
+      EXPECT_FALSE(d.node.empty());
+    }
   }
 }
 

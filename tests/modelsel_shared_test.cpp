@@ -6,8 +6,13 @@
 //    within 1e-9 under the CSR and CLA-compressed bindings.
 //  * Contiguous-fold training (two zero-copy row windows per fold) must
 //    match training on a gathered copy of the same rows.
-//  * Per-config lr / l2 / lr-decay heterogeneity enters as column scaling
-//    and must neither leak across columns nor drift from the 1-wide path.
+//  * Per-config lr / l2 / lr-decay heterogeneity stays column-local and
+//    must not drift from the 1-wide path.
+//  * Every column follows the single-model contract: loss_history[e] is the
+//    loss at the weights epoch e started from, and each column stops on its
+//    own tolerance, bit-equal to TrainGlmOnOperand run alone.
+//  * The modelsel rung counters count SharedScanTrain calls, not single
+//    fits on the same engine.
 //  * Steady-state rung epochs are allocation-free; scans and reductions run
 //    on the caller's pool.
 //
@@ -16,8 +21,10 @@
 // without DMML_INTER_NODE=1.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "cla/compressed_matrix.h"
@@ -120,6 +127,90 @@ TEST(SharedScanTest, KWideEpochBitEqualToOneWideEpochsOnDense) {
     for (size_t e = 0; e < wide.loss_history.size(); ++e) {
       EXPECT_EQ(wide.loss_history[e], narrow.loss_history[e])
           << "config " << c << " epoch " << e;
+    }
+  }
+}
+
+TEST(SharedScanTest, LossHistoryIsTheLossAtEachEpochsStartingWeights) {
+  // Entry e of a long run is the loss (L2 term included) at the weights and
+  // intercept an e-epoch run ends with — the GlmModel::loss_history
+  // convention, for every column of a rung.
+  auto ds = data::MakeRegression(300, 5, 0.1, 6);
+  GlmConfig config;
+  config.family = GlmFamily::kGaussian;
+  config.learning_rate = 0.05;
+  config.l2 = 0.5;
+  config.max_epochs = 8;
+  config.tolerance = 0;
+  GlmConfig other = config;
+  other.learning_rate = 0.02;
+  other.l2 = 0.1;
+
+  auto long_run = BatchedTrainGlm(ds.x, ds.y, {config, other});
+  ASSERT_TRUE(long_run.ok()) << long_run.status().message();
+  for (size_t c = 0; c < 2; ++c) {
+    const GlmConfig& cfg = c == 0 ? config : other;
+    const GlmModel& model = (*long_run)[c];
+    ASSERT_EQ(model.loss_history.size(), cfg.max_epochs);
+    for (size_t e = 0; e < cfg.max_epochs; ++e) {
+      DenseMatrix w(ds.x.cols(), 1);
+      double b = 0.0;
+      if (e > 0) {
+        GlmConfig shorter = cfg;
+        shorter.max_epochs = e;
+        auto prefix = BatchedTrainGlm(ds.x, ds.y, {shorter});
+        ASSERT_TRUE(prefix.ok());
+        w = (*prefix)[0].weights;
+        b = (*prefix)[0].intercept;
+      }
+      auto expected = ml::GlmLoss(ds.x, ds.y, w, b, cfg.family, cfg.l2);
+      ASSERT_TRUE(expected.ok());
+      EXPECT_NEAR(model.loss_history[e], *expected, 1e-12)
+          << "config " << c << " epoch " << e;
+    }
+  }
+}
+
+TEST(SharedScanTest, EachColumnStopsOnItsOwnToleranceBitEqualToSingleModel) {
+  auto ds = data::MakeRegression(300, 5, 0.1, 6);
+  std::vector<GlmConfig> configs(3);
+  const double lrs[] = {0.02, 0.05, 0.1};
+  for (size_t c = 0; c < 3; ++c) {
+    configs[c].family = GlmFamily::kGaussian;
+    configs[c].learning_rate = lrs[c];
+    configs[c].l2 = 0.01 * static_cast<double>(c);
+    configs[c].max_epochs = 200;
+    configs[c].tolerance = 1e-3;
+  }
+
+  auto rung = BatchedTrainGlm(ds.x, ds.y, configs);
+  ASSERT_TRUE(rung.ok()) << rung.status().message();
+  EXPECT_NE((*rung)[0].epochs_run, (*rung)[2].epochs_run)
+      << "the configs must stop at different epochs";
+  size_t longest = 0;
+  for (size_t c = 0; c < 3; ++c) {
+    EXPECT_LT((*rung)[c].epochs_run, configs[c].max_epochs) << "config " << c;
+    longest = std::max(longest, (*rung)[c].epochs_run);
+  }
+  auto trained = SharedScanTrain(ml::BorrowOperand(ds.x), ds.y,
+                                 {{ds.x.rows(), ds.x.rows()}}, configs);
+  ASSERT_TRUE(trained.ok());
+  EXPECT_EQ(trained->epochs_run, longest)
+      << "the rung ends when its last column stops";
+
+  for (size_t c = 0; c < 3; ++c) {
+    SCOPED_TRACE("config " + std::to_string(c));
+    auto single = ml::TrainGlmOnOperand(ml::BorrowOperand(ds.x), ds.y, configs[c]);
+    ASSERT_TRUE(single.ok()) << single.status().message();
+    const GlmModel& column = (*rung)[c];
+    EXPECT_EQ(column.epochs_run, single->epochs_run);
+    for (size_t j = 0; j < ds.x.cols(); ++j) {
+      EXPECT_EQ(column.weights.At(j, 0), single->weights.At(j, 0)) << "weight " << j;
+    }
+    EXPECT_EQ(column.intercept, single->intercept);
+    ASSERT_EQ(column.loss_history.size(), single->loss_history.size());
+    for (size_t e = 0; e < single->loss_history.size(); ++e) {
+      EXPECT_EQ(column.loss_history[e], single->loss_history[e]) << "epoch " << e;
     }
   }
 }
@@ -277,6 +368,20 @@ TEST(SharedScanTest, RungCountersAndWidthHistogram) {
   // shared rung spends epochs*folds. The counter records the difference.
   EXPECT_EQ(CounterValue("modelsel.shared.epochs_saved"),
             saved + (4 - 1) * 3 * 2);
+  EXPECT_EQ(width->TotalCount(), width_count + 1);
+
+  // Single fits train on the same engine but are not model selection: they
+  // and a sequential grid search leave the rung counters alone.
+  auto ds = data::MakeRegression(90, 3, 0.1, 53);
+  GridSpec grid;
+  grid.base.max_epochs = 5;
+  grid.learning_rates = {0.05, 0.1};
+  grid.l2_penalties = {0.0};
+  ASSERT_TRUE(ml::TrainGlmOnOperand(ml::BorrowOperand(ds.x), ds.y, grid.base).ok());
+  ASSERT_TRUE(ml::TrainGlm(ds.x, ds.y, grid.base).ok());
+  ASSERT_TRUE(GridSearchSequential(ds.x, ds.y, grid, 3, 7).ok());
+  EXPECT_EQ(CounterValue("modelsel.shared.rungs"), rungs + 1);
+  EXPECT_EQ(CounterValue("modelsel.shared.configs_per_scan"), per_scan + 4);
   EXPECT_EQ(width->TotalCount(), width_count + 1);
 }
 

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
 
 #include "data/generators.h"
 #include "ml/unified_trainers.h"
@@ -160,6 +161,41 @@ TEST(BatchedTrainTest, RejectsBadData) {
   GlmConfig config;
   EXPECT_FALSE(BatchedTrainGlm(DenseMatrix(0, 2), DenseMatrix(0, 1), {config}).ok());
   EXPECT_FALSE(BatchedTrainGlm(DenseMatrix(5, 2), DenseMatrix(4, 1), {config}).ok());
+}
+
+TEST(BatchedTrainTest, RejectsSolversOtherThanBatchGd) {
+  // The rung engine runs batch GD only; it must refuse another solver by
+  // name instead of silently substituting batch GD (GridSearchSequential
+  // honours the solver, so the two strategies would disagree).
+  auto ds = data::MakeRegression(60, 3, 0.1, 13);
+  GlmConfig config;
+  config.max_epochs = 5;
+  for (ml::GlmSolver solver : {ml::GlmSolver::kSgd, ml::GlmSolver::kAdam,
+                               ml::GlmSolver::kNormalEquations}) {
+    GlmConfig other = config;
+    other.solver = solver;
+    auto batched = BatchedTrainGlm(ds.x, ds.y, {config, other});
+    ASSERT_FALSE(batched.ok());
+    EXPECT_EQ(batched.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(batched.status().message().find("got solver"), std::string::npos)
+        << batched.status().message();
+
+    GridSpec grid;
+    grid.base = other;
+    grid.learning_rates = {0.05};
+    grid.l2_penalties = {0.0};
+    auto search = GridSearchBatched(ds.x, ds.y, grid, 3, 14);
+    ASSERT_FALSE(search.ok());
+    EXPECT_EQ(search.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(search.status().message().find("got solver"), std::string::npos)
+        << search.status().message();
+  }
+  GlmConfig sgd = config;
+  sgd.solver = ml::GlmSolver::kSgd;
+  auto sgd_only = BatchedTrainGlm(ds.x, ds.y, {sgd});
+  ASSERT_FALSE(sgd_only.ok());
+  EXPECT_NE(sgd_only.status().message().find("sgd"), std::string::npos)
+      << sgd_only.status().message();
 }
 
 TEST(GridSearchTest, SequentialAndBatchedPickReasonableConfigs) {
