@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
-# Three gates in one script:
+# Several gates in one script:
 #
 #  1. clang-tidy (config: .clang-tidy at the repo root) over every
 #     translation unit in src/, failing on any warning, so new findings
-#     cannot land silently.
+#     cannot land silently. Without clang-tidy on PATH only this pass is
+#     skipped: every other gate still runs, and the exit code says so.
 #  2. A Release-build smoke: bench/bench_kernels --smoke runs the
 #     blocked-vs-reference parity suite plus a ~3 second throughput pass, and
 #     bench/bench_cla --smoke checks compressed-vs-dense and pooled-vs-serial
@@ -34,8 +35,10 @@
 #     pipeline_frontend_test (table -> join -> train through both physical
 #     routes) also runs under both sanitizers, plain and with
 #     DMML_VERIFY=1 DMML_INTER_NODE=1. laopt_analysis_test (the analyzer,
-#     and dense nonzero counts shared by concurrent first callers) runs
-#     under both sanitizers, plain and with DMML_INTER_NODE=1.
+#     and dense nonzero counts shared by concurrent first callers) and
+#     la_kernels_parity_test (the kernel engine, including the GLM
+#     residual kernel's vector exp/log1p and its padded partial vectors)
+#     run under both sanitizers, plain and with DMML_INTER_NODE=1.
 #  4. A plan-verifier gate: every laopt test binary plus the laopt benches
 #     re-run in the Release build with DMML_VERIFY=1 DMML_LINT=1, so the
 #     structural verifier checks every optimizer pass output at -O2 (Release
@@ -44,6 +47,9 @@
 #     The same suite then re-runs with DMML_INTER_NODE=1, forcing the
 #     dependency-counter dataflow scheduler onto every pooled executor —
 #     results must stay bit-identical and laopt.sched.buffer_conflicts zero.
+#  5. A benchmark gate: dmbench's own CMake project (the one
+#     dmbench/run.py builds) configured in Release, and dmbench_test run;
+#     its tiny pass runs every workload's output checks.
 #
 # The Release smoke also covers the profiler: bench_laopt --smoke asserts
 # that the profiler-disabled unified GLM epoch loop stays within
@@ -59,41 +65,41 @@
 #
 # A compile_commands.json is generated into the build dir (default
 # build-tidy) if not already present; the smoke uses a separate Release
-# build dir (build-smoke). Exit codes: 0 clean, 1 findings or smoke
-# failure, 2 environment problem (no clang-tidy on PATH).
+# build dir (build-smoke). Exit codes: 0 clean, 1 findings or a failed
+# gate, 2 every gate that ran passed but the clang-tidy pass could not run
+# (no clang-tidy on PATH, or its configure failed).
 set -u -o pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
 build_dir="${1:-$repo_root/build-tidy}"
 
+status=0
+tidy_skipped=0
 tidy_bin="${CLANG_TIDY:-clang-tidy}"
 if ! command -v "$tidy_bin" >/dev/null 2>&1; then
-  echo "static_checks: '$tidy_bin' not found on PATH." >&2
-  echo "Install clang-tidy (or set CLANG_TIDY) and re-run." >&2
-  exit 2
-fi
-
-if [ ! -f "$build_dir/compile_commands.json" ]; then
-  cmake -B "$build_dir" -S "$repo_root" -DCMAKE_EXPORT_COMPILE_COMMANDS=ON >/dev/null \
-    || { echo "static_checks: cmake configure failed" >&2; exit 2; }
-fi
-
-mapfile -t sources < <(find "$repo_root/src" -name '*.cpp' | sort)
-echo "static_checks: running $tidy_bin over ${#sources[@]} files..."
-
-status=0
-for f in "${sources[@]}"; do
-  # --quiet suppresses the "N warnings generated" chatter; findings still
-  # print. WarningsAsErrors in .clang-tidy makes any finding a failure.
-  if ! "$tidy_bin" --quiet -p "$build_dir" "$f"; then
-    status=1
-  fi
-done
-
-if [ "$status" -ne 0 ]; then
-  echo "static_checks: FAILED — fix the findings above (policy: .clang-tidy)" >&2
+  echo "static_checks: '$tidy_bin' not found on PATH; skipping the clang-tidy pass." >&2
+  echo "Install clang-tidy (or set CLANG_TIDY) to run it. The other gates still run." >&2
+  tidy_skipped=1
+elif [ ! -f "$build_dir/compile_commands.json" ] \
+    && ! cmake -B "$build_dir" -S "$repo_root" -DCMAKE_EXPORT_COMPILE_COMMANDS=ON >/dev/null; then
+  echo "static_checks: cmake configure failed; skipping the clang-tidy pass" >&2
+  tidy_skipped=1
 else
-  echo "static_checks: clang-tidy clean"
+  mapfile -t sources < <(find "$repo_root/src" -name '*.cpp' | sort)
+  echo "static_checks: running $tidy_bin over ${#sources[@]} files..."
+  for f in "${sources[@]}"; do
+    # --quiet suppresses the "N warnings generated" chatter; findings still
+    # print. WarningsAsErrors in .clang-tidy makes any finding a failure.
+    if ! "$tidy_bin" --quiet -p "$build_dir" "$f"; then
+      status=1
+    fi
+  done
+
+  if [ "$status" -ne 0 ]; then
+    echo "static_checks: FAILED — fix the findings above (policy: .clang-tidy)" >&2
+  else
+    echo "static_checks: clang-tidy clean"
+  fi
 fi
 
 # ---------------------------------------------------------------------------
@@ -252,12 +258,12 @@ fi
 # ---------------------------------------------------------------------------
 run_sanitized_repr_gate() {
   local san="$1" dir="$2"
-  echo "static_checks: building laopt_repr_test + laopt_verify_test + laopt_sched_test + laopt_analysis_test + modelsel_shared_test + modelsel_test + factorized_test + pipeline_frontend_test (DMML_SANITIZE=$san) in $dir..."
+  echo "static_checks: building laopt_repr_test + laopt_verify_test + laopt_sched_test + laopt_analysis_test + modelsel_shared_test + modelsel_test + factorized_test + la_kernels_parity_test + pipeline_frontend_test (DMML_SANITIZE=$san) in $dir..."
   if cmake -B "$dir" -S "$repo_root" -DDMML_SANITIZE="$san" >/dev/null \
       && cmake --build "$dir" --target laopt_repr_test --target laopt_verify_test \
            --target laopt_sched_test --target laopt_analysis_test \
            --target modelsel_shared_test --target modelsel_test \
-           --target factorized_test \
+           --target factorized_test --target la_kernels_parity_test \
            --target pipeline_frontend_test -j >/dev/null; then
     if "$dir/tests/laopt_repr_test" >/dev/null \
         && DMML_INTER_NODE=1 "$dir/tests/laopt_repr_test" >/dev/null; then
@@ -301,10 +307,11 @@ run_sanitized_repr_gate() {
       echo "static_checks: FAILED — modelsel_shared_test under $san" >&2
       status=1
     fi
-    # Every GLM caller trains through the rung engine's plans, and the
-    # factorized operand's ranged products feed its fold windows: the
-    # model-selection and factorized suites run plain and inter-node too.
-    for t in modelsel_test factorized_test; do
+    # Every GLM caller trains through the rung engine's plans, the
+    # factorized operand's ranged products feed its fold windows, and the
+    # residual kernel runs every epoch's middle: the model-selection,
+    # factorized and kernel suites run plain and inter-node too.
+    for t in modelsel_test factorized_test la_kernels_parity_test; do
       if "$dir/tests/$t" >/dev/null \
           && DMML_INTER_NODE=1 "$dir/tests/$t" >/dev/null; then
         echo "static_checks: $t clean under $san"
@@ -348,4 +355,32 @@ for t in obs_test laopt_profile_test; do
   fi
 done
 
-exit "$status"
+# ---------------------------------------------------------------------------
+# Benchmark gate: dmbench's own project, built in Release the way
+# dmbench/run.py builds it, and its tests. The tiny pass over every workload
+# runs each workload's output checks. Run from the build dir, which holds
+# the tests' work directory.
+# ---------------------------------------------------------------------------
+dmbench_dir="$repo_root/build-dmbench"
+echo "static_checks: building dmbench_test (dmbench project, Release) in $dmbench_dir..."
+if cmake -B "$dmbench_dir" -S "$repo_root/dmbench" -DCMAKE_BUILD_TYPE=Release >/dev/null \
+    && cmake --build "$dmbench_dir" --target dmbench_test -j >/dev/null; then
+  if (cd "$dmbench_dir" && ./dmbench_test >/dev/null); then
+    echo "static_checks: dmbench_test clean"
+  else
+    echo "static_checks: FAILED — dmbench_test" >&2
+    status=1
+  fi
+else
+  echo "static_checks: FAILED — could not build dmbench_test" >&2
+  status=1
+fi
+
+if [ "$status" -ne 0 ]; then
+  exit 1
+fi
+if [ "$tidy_skipped" -ne 0 ]; then
+  echo "static_checks: every gate that ran passed; the clang-tidy pass did not run" >&2
+  exit 2
+fi
+exit 0

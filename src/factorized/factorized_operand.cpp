@@ -37,8 +37,9 @@ Result<la::DenseMatrix> NormalizedOperand::ColumnSums(
   return sums;
 }
 
-la::DenseMatrix NormalizedOperand::Materialize(ThreadPool* /*pool*/) const {
-  return m_->Materialize();
+la::DenseMatrix NormalizedOperand::Materialize(size_t row_begin, size_t row_end,
+                                               ThreadPool* /*pool*/) const {
+  return m_->Materialize(row_begin, row_end);
 }
 
 uint64_t NormalizedOperand::SizeInBytes() const {

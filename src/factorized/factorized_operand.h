@@ -47,7 +47,9 @@ class NormalizedOperand : public laopt::LinearOperator {
   /// colSums(T) as 1 x d via the per-table block sums.
   Result<la::DenseMatrix> ColumnSums(ThreadPool* pool) const override;
 
-  la::DenseMatrix Materialize(ThreadPool* pool) const override;
+  /// Joins only the window's fact rows.
+  la::DenseMatrix Materialize(size_t row_begin, size_t row_end,
+                              ThreadPool* pool) const override;
   uint64_t SizeInBytes() const override;
   const char* Name() const override { return "normalized_matrix"; }
 

@@ -5,6 +5,7 @@
 #include "la/kernels.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "util/logging.h"
 
 namespace dmml::factorized {
 
@@ -199,11 +200,14 @@ DenseMatrix NormalizedMatrix::RowSquaredNorms() const {
   return out;
 }
 
-DenseMatrix NormalizedMatrix::Materialize() const {
-  DenseMatrix out(rows_, cols_);
+DenseMatrix NormalizedMatrix::Materialize() const { return Materialize(0, rows_); }
+
+DenseMatrix NormalizedMatrix::Materialize(size_t row_begin, size_t row_end) const {
+  DMML_CHECK(row_begin <= row_end && row_end <= rows_);
+  DenseMatrix out(row_end - row_begin, cols_);
   const size_t ds = entity_.cols();
-  for (size_t i = 0; i < rows_; ++i) {
-    double* row = out.Row(i);
+  for (size_t i = row_begin; i < row_end; ++i) {
+    double* row = out.Row(i - row_begin);
     const double* xs = entity_.Row(i);
     for (size_t j = 0; j < ds; ++j) row[j] = xs[j];
     size_t offset = ds;

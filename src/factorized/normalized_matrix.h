@@ -79,8 +79,12 @@ class NormalizedMatrix {
   la::DenseMatrix RowSquaredNorms() const;
 
   /// \brief Materializes the full join output (the baseline the factorized
-  /// path is compared against).
+  /// path is compared against): the [0, rows()) window.
   la::DenseMatrix Materialize() const;
+
+  /// \brief Materializes rows [row_begin, row_end) of the join output,
+  /// (row_end - row_begin) x cols(), joining only the window's fact rows.
+  la::DenseMatrix Materialize(size_t row_begin, size_t row_end) const;
 
   /// \brief Cells of the materialized matrix divided by cells stored in
   /// normalized form — the redundancy the factorized path avoids.

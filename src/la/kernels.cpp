@@ -1,7 +1,9 @@
 #include "la/kernels.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -928,6 +930,170 @@ SparseMatrix SparseTranspose(const SparseMatrix& a) {
   }
   return SparseMatrix::FromCsr(a.cols(), a.rows(), std::move(row_ptr),
                                std::move(col_idx), std::move(values));
+}
+
+// ---------------------------------------------------------------------------
+// GLM residuals and loss
+// ---------------------------------------------------------------------------
+
+namespace {
+
+using V4u = uint64_t __attribute__((vector_size(32)));
+
+inline V4 Splat(double v) { return V4{v, v, v, v}; }
+
+// Loads `lanes` (1 to 4) doubles; a short vector is padded with zeros, so a
+// partial vector runs the same code as a full one.
+inline V4 LoadLanes(const double* p, size_t lanes) {
+  if (lanes == 4) return LoadV4(p);
+  V4 v = Splat(0.0);
+  for (size_t j = 0; j < lanes; ++j) v[j] = p[j];
+  return v;
+}
+
+inline void StoreLanes(double* p, V4 v, size_t lanes) {
+  if (lanes == 4) {
+    StoreV4(p, v);
+    return;
+  }
+  for (size_t j = 0; j < lanes; ++j) p[j] = v[j];
+}
+
+constexpr double kLn2Hi = 0x1.62e42feep-1;  // Trailing zeros: k·kLn2Hi is exact.
+constexpr double kLn2Lo = 0x1.a39ef35793c76p-33;
+
+// exp(x) for x ≤ 0: Cody–Waite reduction x = k·ln2 + r with |r| ≤ ln2/2,
+// then exp(r) as its degree-13 Taylor polynomial (truncation error 6e-18
+// relative). Within 1 ulp of libm; NaN gives NaN.
+inline V4 ExpNonPositive(V4 x) {
+  // exp rounds to 0 below −746. Clamping there (−Inf included) keeps k in
+  // [−1076, 0]; a NaN fails the compare and stays NaN.
+  x = x < -746.0 ? Splat(-746.0) : x;
+  // Adding 1.5·2^52 rounds x/ln2 to the integer k held in the low mantissa
+  // bits, so k is read from the bits: no float-to-int conversion.
+  constexpr double kShifter = 0x1.8p52;
+  const V4 t = x * 0x1.71547652b82fep0 + kShifter;
+  const V4 k = t - kShifter;
+  const V4 r = (x - k * kLn2Hi) - k * kLn2Lo;
+  constexpr double kInvFactorial[] = {
+      1.0,           1.0,            1.0 / 2,         1.0 / 6,
+      1.0 / 24,      1.0 / 120,      1.0 / 720,       1.0 / 5040,
+      1.0 / 40320,   1.0 / 362880,   1.0 / 3628800,   1.0 / 39916800,
+      1.0 / 479001600, 1.0 / 6227020800.0};
+  V4 p = Splat(kInvFactorial[13]);
+  for (int n = 12; n >= 0; --n) p = p * r + kInvFactorial[n];
+  // 2^k as 2^(k+600) · 2^−600: both factors are normal numbers, so a
+  // subnormal result is rounded once, by the last multiply.
+  const V4u kbits = std::bit_cast<V4u>(t) - std::bit_cast<V4u>(Splat(kShifter));
+  const V4 scale = std::bit_cast<V4>((kbits + (1023 + 600)) << 52);
+  return p * scale * 0x1p-600;
+}
+
+// log1p(z) for z in [0, 1], given u = 1 + z as rounded: fdlibm's log kernel
+// on u plus the rounding term (z − (u − 1))/u. NaN gives NaN.
+inline V4 Log1pGivenSum(V4 z, V4 u) {
+  const V4 c = (z - (u - 1.0)) / u;
+  // u = 2^k · (1 + f) with 1 + f in [√2/2, √2); u − 1 and u/2 − 1 are exact.
+  const auto above_sqrt2 = u > 0x1.6a09e667f3bcdp0;
+  const V4 k = above_sqrt2 ? Splat(1.0) : Splat(0.0);
+  const V4 f = (above_sqrt2 ? u * 0.5 : u) - 1.0;
+  const V4 hfsq = 0.5 * f * f;
+  const V4 s = f / (2.0 + f);
+  const V4 w = s * s;
+  const V4 poly =
+      w * (0x1.5555555555593p-1 +
+           w * (0x1.999999997fa04p-2 +
+                w * (0x1.2492494229359p-2 +
+                     w * (0x1.c71c51d8e78afp-3 +
+                          w * (0x1.7466496cb03dep-3 +
+                               w * (0x1.39a09d078c69fp-3 +
+                                    w * 0x1.2f112df3e5244p-3))))));
+  return k * kLn2Hi - ((hfsq - (s * (hfsq + poly) + (k * kLn2Lo + c))) - f);
+}
+
+// One vector of cells: score s (intercept added) and label y in, residual
+// and loss term out.
+template <GlmFamily kFamily>
+inline void GlmCells(V4 s, V4 y, V4* r, V4* loss) {
+  if constexpr (kFamily == GlmFamily::kGaussian) {
+    *r = s - y;
+    *loss = 0.5 * *r * *r;
+  } else {
+    const V4 z = ExpNonPositive(s < 0.0 ? s : -s);
+    const V4 u = 1.0 + z;
+    *r = (s >= 0.0 ? Splat(1.0) : z) / u - y;
+    const V4 m = y > 0.5 ? s : -s;
+    *loss = (m < 0.0 ? -m : Splat(0.0)) + Log1pGivenSum(z, u);
+  }
+}
+
+// A one-column block: the lanes are four consecutive rows, and the two sums
+// stay in registers. They take the lanes one at a time, in row order.
+template <GlmFamily kFamily>
+void GlmResidualsOfColumn(const double* scores, size_t n, double intercept,
+                          const double* y, double* resid, double* loss_sum,
+                          double* resid_sum) {
+  const V4 b = Splat(intercept);
+  double loss = *loss_sum, bias = *resid_sum;
+  for (size_t i = 0; i < n; i += 4) {
+    const size_t lanes = std::min<size_t>(4, n - i);
+    V4 r, l;
+    GlmCells<kFamily>(LoadLanes(scores + i, lanes) + b, LoadLanes(y + i, lanes),
+                      &r, &l);
+    StoreLanes(resid + i, r, lanes);
+    for (size_t j = 0; j < lanes; ++j) {
+      loss += l[j];
+      bias += r[j];
+    }
+  }
+  *loss_sum = loss;
+  *resid_sum = bias;
+}
+
+// A wider block, row by row: the lanes are four consecutive columns, and
+// each lane is added to its column's sums on its own, as in the one-column
+// loop, so a column's sums are the same chain of scalar additions.
+template <GlmFamily kFamily>
+void GlmResidualsOfRows(const DenseMatrix& scores, const double* intercepts,
+                        const double* y, DenseMatrix* resid, double* loss_sums,
+                        double* resid_sums) {
+  const size_t k = scores.cols();
+  for (size_t i = 0; i < scores.rows(); ++i) {
+    const double* srow = scores.Row(i);
+    double* rrow = resid->Row(i);
+    const V4 yi = Splat(y[i]);
+    for (size_t c = 0; c < k; c += 4) {
+      const size_t lanes = std::min<size_t>(4, k - c);
+      V4 r, l;
+      GlmCells<kFamily>(
+          LoadLanes(srow + c, lanes) + LoadLanes(intercepts + c, lanes), yi,
+          &r, &l);
+      StoreLanes(rrow + c, r, lanes);
+      for (size_t j = 0; j < lanes; ++j) {
+        loss_sums[c + j] += l[j];
+        resid_sums[c + j] += r[j];
+      }
+    }
+  }
+}
+
+}  // namespace
+
+void GlmResidualsInto(const DenseMatrix& scores, const double* intercepts,
+                      const double* y, GlmFamily family, DenseMatrix* resid,
+                      double* loss_sums, double* resid_sums) {
+  DMML_CHECK(resid->rows() == scores.rows() && resid->cols() == scores.cols());
+  const bool gaussian = family == GlmFamily::kGaussian;
+  if (scores.cols() == 1) {
+    const auto run = gaussian ? GlmResidualsOfColumn<GlmFamily::kGaussian>
+                              : GlmResidualsOfColumn<GlmFamily::kBinomial>;
+    run(scores.data(), scores.rows(), intercepts[0], y, resid->data(),
+        loss_sums, resid_sums);
+  } else {
+    const auto run = gaussian ? GlmResidualsOfRows<GlmFamily::kGaussian>
+                              : GlmResidualsOfRows<GlmFamily::kBinomial>;
+    run(scores, intercepts, y, resid, loss_sums, resid_sums);
+  }
 }
 
 // ---------------------------------------------------------------------------

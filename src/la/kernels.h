@@ -5,7 +5,7 @@
 /// errors by the checked wrappers in ops.h, while the kernels here assume
 /// validated shapes (checked with DMML_CHECK in debug spirit).
 ///
-/// The dense engine is organised in three layers:
+/// The dense engine has four parts:
 ///
 ///  * **Blocked compute kernels.** `Multiply` is a cache-blocked GEMM: the B
 ///    operand is packed per (k, j) panel into register-tile-friendly slivers
@@ -25,6 +25,13 @@
 ///    iterative callers (laopt executor, GLM/k-means loops) thus allocate
 ///    nothing per iteration. Reuse/alloc totals are observable as the
 ///    `la.inplace.reuses` / `la.inplace.allocs` counters.
+///
+///  * **One fused cell-wise GLM kernel.** `GlmResidualsInto` turns a block of
+///    scores into residuals and per-column loss sums in one pass — the
+///    link, the loss and their sums, with vector polynomial exp and log1p
+///    — for batch-GD epochs, `ml::GlmLoss` and fold scoring alike. Every
+///    cell takes the same 4-lane path at every block width, so a column of
+///    a wide block is bit-equal to the same column alone.
 ///
 /// Every parallel kernel takes an optional ThreadPool and applies a grain
 /// heuristic: inputs with too little work for a pool round-trip run inline
@@ -250,6 +257,37 @@ void SparseTransposeMultiplyRangeInto(const SparseMatrix& a, size_t row_begin,
                                       size_t row_end, const DenseMatrix& m,
                                       DenseMatrix* out,
                                       ThreadPool* pool = nullptr);
+
+// ---------------------------------------------------------------------------
+// GLM residuals and loss
+// ---------------------------------------------------------------------------
+
+/// \brief A generalized linear model's response family: its link and its
+/// per-example loss. ml::GlmFamily is this type.
+enum class GlmFamily {
+  kGaussian,  ///< Identity link; squared loss (linear regression).
+  kBinomial,  ///< Logit link; log loss (logistic regression).
+};
+
+/// \brief The elementwise middle of a batch-GD epoch, over an n x k score
+/// block: cell (i, c) has score s = scores(i, c) + intercepts[c] and label
+/// y[i]. Writes the residual dLoss/ds into resid(i, c) and adds the cell's
+/// loss term and residual to loss_sums[c] and resid_sums[c].
+///
+///  * Gaussian: r = s − y, loss ½r².
+///  * Binomial: z = exp(−|s|), σ = 1/(1+z) for s ≥ 0 and z/(1+z) otherwise,
+///    r = σ − y, loss max(−m, 0) + log1p(z) for the margin m = ±s (+ for a
+///    label above 0.5).
+///
+/// `resid` must already be n x k and may be `&scores`; `y` points at the
+/// window's n labels. The sums belong to the caller and run over the rows in
+/// order, so consecutive windows chain into one sum. Every cell takes the
+/// same 4-lane vector path — exp and log1p are polynomials within 1 ulp of
+/// libm, and a NaN score gives NaN — so a column of a k-wide block is
+/// bit-equal to the same column run alone. Allocates nothing.
+void GlmResidualsInto(const DenseMatrix& scores, const double* intercepts,
+                      const double* y, GlmFamily family, DenseMatrix* resid,
+                      double* loss_sums, double* resid_sums);
 
 // ---------------------------------------------------------------------------
 // Naive reference kernels

@@ -819,7 +819,7 @@ Result<const DenseMatrix*> BufferedExecutor::Densify(const ExprPtr& owner,
               v.c->DecompressRangeInto(v.win_begin, v.win_end, &slot.aux, pool_));
           break;
         case Repr::kFactorized:
-          slot.aux = v.lo->Materialize(pool_).SliceRows(v.win_begin, v.win_end);
+          slot.aux = v.lo->Materialize(v.win_begin, v.win_end, pool_);
           break;
       }
     } else if (v.repr == Repr::kSparse) {
@@ -831,7 +831,7 @@ Result<const DenseMatrix*> BufferedExecutor::Densify(const ExprPtr& owner,
         }
       }
     } else if (v.repr == Repr::kFactorized) {
-      slot.aux = v.lo->Materialize(pool_);
+      slot.aux = v.lo->Materialize(0, v.lo->rows(), pool_);
     } else {
       slot.aux = v.c->Decompress(pool_);
     }

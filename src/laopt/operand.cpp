@@ -23,14 +23,14 @@ const char* ReprName(Repr repr) {
 }
 
 Result<la::DenseMatrix> LinearOperator::Gram(ThreadPool* pool) const {
-  la::DenseMatrix dense = Materialize(pool);
+  la::DenseMatrix dense = Materialize(0, rows(), pool);
   la::DenseMatrix out;
   la::GramInto(dense, &out, pool);
   return out;
 }
 
 Result<la::DenseMatrix> LinearOperator::RowSquaredNorms(ThreadPool* pool) const {
-  la::DenseMatrix dense = Materialize(pool);
+  la::DenseMatrix dense = Materialize(0, rows(), pool);
   la::DenseMatrix out(dense.rows(), 1);
   for (size_t i = 0; i < dense.rows(); ++i) {
     const double* row = dense.Row(i);
@@ -145,13 +145,13 @@ la::DenseMatrix Operand::ToDense(ThreadPool* pool) const {
       (void)compressed_->DecompressRangeInto(win_begin_, win_end_, &out, pool);
       return out;
     }
-    if (linear_) return linear_->Materialize(pool).SliceRows(win_begin_, win_end_);
+    if (linear_) return linear_->Materialize(win_begin_, win_end_, pool);
     return {};
   }
   if (dense_) return *dense_;
   if (sparse_) return sparse_->ToDense();
   if (compressed_) return compressed_->Decompress(pool);
-  if (linear_) return linear_->Materialize(pool);
+  if (linear_) return linear_->Materialize(0, linear_->rows(), pool);
   return {};
 }
 

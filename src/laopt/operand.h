@@ -47,9 +47,10 @@ enum class Repr {
 /// The executor dispatches the products its trainer programs need — T·m,
 /// Tᵀ·m, Gram (TᵀT), rowSums(T⊙T), colSums(T) — to these virtuals and falls
 /// back to Materialize() for anything else (the same densify-on-mismatch
-/// contract the compressed representation has). The two products take a
-/// window of rows, so a row-windowed Operand (a cross-validation fold) runs
-/// them without materializing the window.
+/// contract the compressed representation has). The two products and
+/// Materialize take a window of rows, so a row-windowed Operand (a
+/// cross-validation fold) runs the products without materializing the
+/// window, and densifies only the window's rows when it must.
 class LinearOperator {
  public:
   virtual ~LinearOperator() = default;
@@ -75,8 +76,10 @@ class LinearOperator {
   /// Column sums as a 1 x cols() row vector. Default: Tᵀ·1 reshaped.
   virtual Result<la::DenseMatrix> ColumnSums(ThreadPool* pool) const;
 
-  /// Dense copy of the full operator output (the densify fallback).
-  virtual la::DenseMatrix Materialize(ThreadPool* pool) const = 0;
+  /// Dense copy of rows [row_begin, row_end) of the operator output, (row_end
+  /// - row_begin) x cols() (the densify fallback); [0, rows()) is the whole.
+  virtual la::DenseMatrix Materialize(size_t row_begin, size_t row_end,
+                                      ThreadPool* pool) const = 0;
 
   /// Resident bytes of the operator's own storage (not the materialized
   /// size — the gap between the two is exactly what the chooser weighs).

@@ -64,25 +64,17 @@ Result<DenseMatrix> GlmModel::PredictLabels(const DenseMatrix& x,
 Result<double> GlmLoss(const DenseMatrix& x, const DenseMatrix& y,
                        const DenseMatrix& w, double intercept, GlmFamily family,
                        double l2) {
-  if (x.rows() != y.rows() || y.cols() != 1 || x.cols() != w.rows()) {
+  if (x.rows() != y.rows() || y.cols() != 1 || x.cols() != w.rows() ||
+      w.cols() != 1) {
     return Status::InvalidArgument("GlmLoss: shape mismatch");
   }
   const size_t n = x.rows();
   if (n == 0) return Status::InvalidArgument("GlmLoss: empty data");
-  double acc = 0;
-  for (size_t i = 0; i < n; ++i) {
-    double score = la::Dot(x.Row(i), w.data(), x.cols()) + intercept;
-    if (family == GlmFamily::kGaussian) {
-      double r = score - y.At(i, 0);
-      acc += 0.5 * r * r;
-    } else {
-      // log(1 + exp(-margin)) with the stable formulation.
-      double yi = y.At(i, 0) > 0.5 ? 1.0 : -1.0;
-      double m = yi * score;
-      acc += m > 0 ? std::log1p(std::exp(-m)) : -m + std::log1p(std::exp(m));
-    }
-  }
-  double loss = acc / static_cast<double>(n);
+  DenseMatrix scores = la::Gemv(x, w);
+  double loss_sum = 0, resid_sum = 0;
+  la::GlmResidualsInto(scores, &intercept, y.data(), family, &scores, &loss_sum,
+                       &resid_sum);
+  double loss = loss_sum / static_cast<double>(n);
   if (l2 > 0) {
     double w2 = 0;
     for (size_t j = 0; j < w.rows(); ++j) w2 += w.At(j, 0) * w.At(j, 0);

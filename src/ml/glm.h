@@ -14,16 +14,14 @@
 #include <vector>
 
 #include "la/dense_matrix.h"
+#include "la/kernels.h"
 #include "util/result.h"
 #include "util/thread_pool.h"
 
 namespace dmml::ml {
 
-/// GLM response family.
-enum class GlmFamily {
-  kGaussian,  ///< Identity link; squared loss (linear regression).
-  kBinomial,  ///< Logit link; log loss (logistic regression).
-};
+/// GLM response family. It is la's, so the residual kernel takes it as is.
+using la::GlmFamily;
 
 /// Training algorithm.
 enum class GlmSolver {

@@ -257,45 +257,6 @@ Result<FoldProgram> BuildFoldProgram(const Operand& x, const FoldRange& fold,
   return p;
 }
 
-// One score cell of the scalar middle: adds the loss term of score `s`
-// against label `yi` to `*loss` and returns the residual dLoss/dScore.
-inline double AccumulateCell(double s, double yi, GlmFamily family,
-                             double* loss) {
-  if (family == GlmFamily::kGaussian) {
-    const double r = s - yi;
-    *loss += 0.5 * r * r;
-    return r;
-  }
-  const double margin = (yi > 0.5 ? 1.0 : -1.0) * s;
-  *loss += margin > 0 ? std::log1p(std::exp(-margin))
-                      : -margin + std::log1p(std::exp(margin));
-  return GlmInverseLink(s, family) - yi;
-}
-
-// Turns one score window into residuals (written into `resid`, window-
-// relative) while accumulating per-config loss sums and bias gradients —
-// the representation-independent scalar middle of the epoch. The loop goes
-// row by row with the columns inner; each column's sums run over the rows
-// in order, whatever the rung width, so a k-wide column is bit-equal to its
-// width-1 run.
-void ConsumeScores(const DenseMatrix& scores, const DenseMatrix& y,
-                   size_t y_begin, GlmFamily family,
-                   const std::vector<double>& intercepts, DenseMatrix* resid,
-                   std::vector<double>* losses, std::vector<double>* bias) {
-  const size_t rows = scores.rows(), k = scores.cols();
-  for (size_t i = 0; i < rows; ++i) {
-    const double* srow = scores.Row(i);
-    double* rrow = resid->Row(i);
-    const double yi = y.At(y_begin + i, 0);
-    for (size_t c = 0; c < k; ++c) {
-      const double r =
-          AccumulateCell(srow[c] + intercepts[c], yi, family, &(*losses)[c]);
-      rrow[c] = r;
-      (*bias)[c] += r;
-    }
-  }
-}
-
 // The batch-GD epoch loop behind SharedScanTrain and TrainGlmOnOperand,
 // for a rung that ValidateRung accepted.
 Result<SharedScanResult> TrainRung(const Operand& x, const DenseMatrix& y,
@@ -371,8 +332,9 @@ Result<SharedScanResult> TrainRung(const Operand& x, const DenseMatrix& y,
     DMML_ASSIGN_OR_RETURN(std::vector<const DenseMatrix*> scores,
                           executor.RunMany(score_roots));
 
-    // Scalar middle: residuals, then each live column's loss at the weights
-    // this epoch started from, and its intercept step.
+    // The middle: one kernel turns each training window's scores into
+    // residuals and adds up every column's loss at the weights this epoch
+    // started from and its bias gradient, the hi window after the lo one.
     for (size_t f = 0; f < programs.size(); ++f) {
       FoldProgram& p = programs[f];
       if (p.live == 0) continue;
@@ -380,12 +342,14 @@ Result<SharedScanResult> TrainRung(const Operand& x, const DenseMatrix& y,
       std::fill(losses.begin(), losses.end(), 0.0);
       std::fill(bias.begin(), bias.end(), 0.0);
       if (p.a_lo >= 0) {
-        ConsumeScores(*scores[p.a_lo], y, 0, base.family, out.intercepts,
-                      p.r_lo.get(), &losses, &bias);
+        la::GlmResidualsInto(*scores[p.a_lo], out.intercepts.data(), y.Row(0),
+                             base.family, p.r_lo.get(), losses.data(),
+                             bias.data());
       }
       if (p.a_hi >= 0) {
-        ConsumeScores(*scores[p.a_hi], y, p.hi_begin, base.family,
-                      out.intercepts, p.r_hi.get(), &losses, &bias);
+        la::GlmResidualsInto(*scores[p.a_hi], out.intercepts.data(),
+                             y.Row(p.hi_begin), base.family, p.r_hi.get(),
+                             losses.data(), bias.data());
       }
       for (size_t c = 0; c < k; ++c) {
         if (!live[f * k + c]) continue;
@@ -569,11 +533,10 @@ Status RunNormalEquationsOnOperand(const Operand& x, const DenseMatrix& y,
   model->epochs_run = 1;
 
   DMML_ASSIGN_OR_RETURN(const DenseMatrix* scores, executor.Run(scores_expr));
-  double loss = 0;
-  for (size_t i = 0; i < n; ++i) {
-    double resid = scores->At(i, 0) + model->intercept - y.At(i, 0);
-    loss += 0.5 * resid * resid;
-  }
+  DenseMatrix resid(n, 1);
+  double loss = 0, resid_sum = 0;
+  la::GlmResidualsInto(*scores, &model->intercept, y.data(), config.family,
+                       &resid, &loss, &resid_sum);
   loss /= static_cast<double>(n);
   if (config.l2 > 0) {
     double w2 = 0;

@@ -1,9 +1,9 @@
 #include "modelsel/shared_scan.h"
 
+#include <cmath>
 #include <vector>
 
 #include "la/kernels.h"
-#include "ml/metrics.h"
 #include "modelsel/model_selection.h"
 
 namespace dmml::modelsel {
@@ -22,7 +22,8 @@ Result<std::vector<double>> ScoreConfigsOnWindow(
     return Status::InvalidArgument("score window: bad row range");
   }
   const size_t range = row_end - row_begin, k = weights.cols();
-  if (weights.rows() != x.cols() || intercepts.size() != k) {
+  if (weights.rows() != x.cols() || intercepts.size() != k ||
+      y.rows() != x.rows() || y.cols() != 1) {
     return Status::InvalidArgument("score window: shape mismatch");
   }
   if (family != GlmFamily::kBinomial && metric != FoldMetric::kNegRmse) {
@@ -51,42 +52,28 @@ Result<std::vector<double>> ScoreConfigsOnWindow(
       break;
   }
 
-  DenseMatrix yv(range, 1);
-  for (size_t i = 0; i < range; ++i) yv.At(i, 0) = y.At(row_begin + i, 0);
-  DenseMatrix pred(range, 1);
-  std::vector<double> out(k, 0.0);
+  const double* yw = y.Row(row_begin);
+  const double rows = static_cast<double>(range);
+  std::vector<double> out(k);
+  if (metric == FoldMetric::kAccuracy) {
+    for (size_t c = 0; c < k; ++c) {
+      size_t hits = 0;
+      for (size_t i = 0; i < range; ++i) {
+        const double s = scores.At(i, c) + intercepts[c];
+        const double label = ml::GlmInverseLink(s, family) >= 0.5 ? 1.0 : 0.0;
+        hits += label == yw[i] ? 1 : 0;
+      }
+      out[c] = static_cast<double>(hits) / rows;
+    }
+    return out;
+  }
+  // The loss sums are Σ½r² (Gaussian) and Σ softplus(−margin) (binomial).
+  std::vector<double> loss(k, 0.0), resid(k, 0.0);
+  la::GlmResidualsInto(scores, intercepts.data(), yw, family, &scores,
+                       loss.data(), resid.data());
   for (size_t c = 0; c < k; ++c) {
-    for (size_t i = 0; i < range; ++i) {
-      double s = scores.At(i, c) + intercepts[c];
-      switch (metric) {
-        case FoldMetric::kAccuracy:
-          pred.At(i, 0) =
-              ml::GlmInverseLink(s, family) >= 0.5 ? 1.0 : 0.0;
-          break;
-        case FoldMetric::kNegLogLoss:
-          pred.At(i, 0) = ml::GlmInverseLink(s, family);
-          break;
-        case FoldMetric::kNegRmse:
-          pred.At(i, 0) = s;
-          break;
-      }
-    }
-    switch (metric) {
-      case FoldMetric::kAccuracy: {
-        DMML_ASSIGN_OR_RETURN(out[c], ml::Accuracy(yv, pred));
-        break;
-      }
-      case FoldMetric::kNegLogLoss: {
-        DMML_ASSIGN_OR_RETURN(double loss, ml::LogLoss(yv, pred));
-        out[c] = -loss;
-        break;
-      }
-      case FoldMetric::kNegRmse: {
-        DMML_ASSIGN_OR_RETURN(double rmse, ml::Rmse(yv, pred));
-        out[c] = -rmse;
-        break;
-      }
-    }
+    out[c] = metric == FoldMetric::kNegLogLoss ? -loss[c] / rows
+                                               : -std::sqrt(2.0 * loss[c] / rows);
   }
   return out;
 }

@@ -44,17 +44,29 @@ using ml::SharedScanFold;
 using ml::SharedScanResult;
 using ml::SharedScanTrain;
 
-/// \brief Higher-is-better validation metric for rung/fold scoring.
+/// \brief Higher-is-better validation metric for rung/fold scoring. Over a
+/// window of n rows with scores s = x·w + b:
 enum class FoldMetric {
-  kAccuracy,    ///< Binomial label accuracy at threshold 0.5 (CV scoring).
-  kNegLogLoss,  ///< Negated binary log loss (halving rung scoring).
-  kNegRmse,     ///< Negated RMSE (Gaussian scoring).
+  /// Binomial label accuracy: a row predicts label 1 iff
+  /// ml::GlmInverseLink(s) ≥ 0.5, so s = 0 exactly predicts 1 (CV scoring).
+  kAccuracy,
+  /// −L/n for L the sum of la::GlmResidualsInto's binomial loss terms
+  /// softplus(−margin): the exact mean log loss, finite for any finite
+  /// score. No probability clip, so a confidently wrong row costs its full
+  /// |s| (halving rung scoring, the only caller).
+  kNegLogLoss,
+  /// −√(2L/n) for L the sum of the Gaussian loss terms ½r²: the negated
+  /// RMSE (Gaussian scoring).
+  kNegRmse,
 };
 
 /// \brief Scores all k configurations on validation rows [row_begin,
 /// row_end) of `x` without gathering: one ranged X·W product on the
 /// binding's kernels (a factorized X runs its windowed LMM) feeds every
-/// config's predictions. Returns one score per config (weights column).
+/// config's scores, and the loss metrics take the residual kernel's loss
+/// sums. Any non-empty window works, one row included. Returns one score
+/// per config (weights column); column c's score depends on column c only,
+/// bit for bit.
 Result<std::vector<double>> ScoreConfigsOnWindow(
     const laopt::Operand& x, const la::DenseMatrix& y, size_t row_begin,
     size_t row_end, const la::DenseMatrix& weights,

@@ -103,12 +103,17 @@ TEST(NormalizedMatrixTest, RangedProductsMatchMaterializedWindows) {
   ASSERT_TRUE(nm.ok());
   const size_t n = nm->rows();
   const DenseMatrix full = nm->Materialize();
+  const laopt::Operand op = MakeFactorizedOperand(*nm);
   const DenseMatrix m = data::GaussianMatrix(nm->cols(), 3, 43);
   const std::pair<size_t, size_t> windows[] = {
       {0, 0}, {0, 1}, {n - 1, n}, {0, n}, {17, 33}};
   for (const auto& [b, e] : windows) {
     SCOPED_TRACE("window [" + std::to_string(b) + ", " + std::to_string(e) + ")");
     const DenseMatrix slice = full.SliceRows(b, e);
+    // Densifying a window joins only its fact rows, to the same cells.
+    EXPECT_TRUE(nm->Materialize(b, e) == slice);
+    EXPECT_TRUE(op.linear()->Materialize(b, e, nullptr) == slice);
+    EXPECT_TRUE(op.Slice(b, e).ToDense(nullptr) == slice);
     auto lmm = nm->Multiply(m, b, e);
     ASSERT_TRUE(lmm.ok()) << lmm.status().message();
     EXPECT_EQ(lmm->rows(), e - b);

@@ -1,7 +1,8 @@
 // Parity tests: the blocked/parallel kernel engine vs the naive reference
 // kernels, across adversarial shapes, serial and pooled. Also pins down the
 // allocation behaviour of the Into variants and the BufferedExecutor's
-// steady state (zero matrix allocations on repeated-shape programs).
+// steady state (zero matrix allocations on repeated-shape programs), and
+// the GLM residual kernel's cells against the libm formulas they replace.
 //
 // This suite is the sanitizer target for the kernel engine: it must stay
 // green under -DDMML_SANITIZE=thread and -DDMML_SANITIZE=address,undefined.
@@ -9,6 +10,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
 #include <limits>
 #include <string>
 #include <vector>
@@ -193,6 +197,149 @@ TEST(BufferedExecutorTest, ZeroAllocationsInSteadyState) {
   // Rebinding to new shapes is allowed — buffers regrow once, then freeze.
   exec.Clear();
   EXPECT_EQ(exec.num_slots(), 0u);
+}
+
+// Distance in units in the last place; 0 when both are NaN or equal.
+uint64_t UlpDistance(double a, double b) {
+  if (std::isnan(a) || std::isnan(b)) {
+    return std::isnan(a) && std::isnan(b) ? 0 : UINT64_MAX;
+  }
+  if (a == b) return 0;  // Also +0 against -0.
+  auto ordered = [](double v) {
+    int64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof(bits));
+    return bits < 0 ? -(bits & INT64_MAX) : bits;
+  };
+  const int64_t ia = ordered(a), ib = ordered(b);
+  return ia > ib ? static_cast<uint64_t>(ia - ib) : static_cast<uint64_t>(ib - ia);
+}
+
+// The scalar formulas the kernel replaced: GlmInverseLink's sigmoid and the
+// stable log loss, on std::exp and std::log1p.
+double ScalarSigmoid(double s) {
+  if (s >= 0) return 1.0 / (1.0 + std::exp(-s));
+  const double z = std::exp(s);
+  return z / (1.0 + z);
+}
+
+double ScalarLogLoss(double s, double y) {
+  const double m = (y > 0.5 ? 1.0 : -1.0) * s;
+  return m > 0 ? std::log1p(std::exp(-m)) : -m + std::log1p(std::exp(m));
+}
+
+// Scores covering every regime of exp(−|s|): signed zeros, subnormals, the
+// polynomial's whole range, the subnormal and underflowed results past
+// |s| = 708 and 745, infinities and NaN.
+std::vector<double> SweepScores() {
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> s = {0.0,     -0.0,    inf,    -inf,
+                           std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::denorm_min(),
+                           -std::numeric_limits<double>::denorm_min(),
+                           std::numeric_limits<double>::min(),
+                           -std::numeric_limits<double>::max(),
+                           std::numeric_limits<double>::max(),
+                           745.1332191019411, -745.1332191019411, 745.2,
+                           -745.2,  746.0,   -746.0, 1e4,    -1e4};
+  for (double v = 1e-320; v < 1e3; v *= 1.01) {
+    s.push_back(v);
+    s.push_back(-v);
+  }
+  for (size_t i = 0; i <= 600000; ++i) {
+    s.push_back(-760.0 + 1520.0 * static_cast<double>(i) / 600000.0);
+  }
+  Rng rng(5);
+  for (size_t i = 0; i < 200000; ++i) s.push_back(rng.Uniform(-40.0, 40.0));
+  return s;
+}
+
+TEST(GlmResidualKernelTest, BinomialCellsWithinTwoUlpOfLibm) {
+  const std::vector<double> s = SweepScores();
+  const size_t n = s.size();
+  // One row of n columns: every column's sums receive exactly its own cell.
+  DenseMatrix scores(1, n);
+  std::copy(s.begin(), s.end(), scores.data());
+  const std::vector<double> zero_intercepts(n, 0.0);
+  uint64_t worst_sigma = 0, worst_loss = 0;
+  for (double y : {0.0, 1.0}) {
+    SCOPED_TRACE("label " + std::to_string(y));
+    DenseMatrix resid(1, n);
+    std::vector<double> loss(n, 0.0), bias(n, 0.0);
+    GlmResidualsInto(scores, zero_intercepts.data(), &y, GlmFamily::kBinomial,
+                     &resid, loss.data(), bias.data());
+    for (size_t c = 0; c < n; ++c) {
+      // At label 0 the residual is σ itself. NaN must give NaN, and the
+      // infinities must saturate exactly.
+      if (y == 0.0) {
+        const uint64_t ds = UlpDistance(resid.At(0, c), ScalarSigmoid(s[c]));
+        EXPECT_LE(ds, 2u) << "sigma at s = " << s[c];
+        worst_sigma = std::max(worst_sigma, ds);
+      }
+      const uint64_t dl = UlpDistance(loss[c], ScalarLogLoss(s[c], y));
+      EXPECT_LE(dl, 2u) << "loss at s = " << s[c];
+      worst_loss = std::max(worst_loss, dl);
+      EXPECT_EQ(UlpDistance(bias[c], resid.At(0, c)), 0u) << "s = " << s[c];
+    }
+  }
+  std::printf("worst sigma %llu ulp, worst loss %llu ulp over %zu scores\n",
+              static_cast<unsigned long long>(worst_sigma),
+              static_cast<unsigned long long>(worst_loss), n);
+}
+
+TEST(GlmResidualKernelTest, GaussianCellsAreExact) {
+  Rng rng(6);
+  DenseMatrix scores = RandomMatrix(7, 5, &rng);
+  DenseMatrix y = RandomMatrix(7, 1, &rng);
+  const std::vector<double> intercepts = {0.5, -1.0, 0.0, 2.0, 0.25};
+  DenseMatrix resid(7, 5);
+  std::vector<double> loss(5, 0.0), bias(5, 0.0);
+  GlmResidualsInto(scores, intercepts.data(), y.data(), GlmFamily::kGaussian,
+                   &resid, loss.data(), bias.data());
+  for (size_t c = 0; c < 5; ++c) {
+    double l = 0, b = 0;
+    for (size_t i = 0; i < 7; ++i) {
+      const double r = scores.At(i, c) + intercepts[c] - y.At(i, 0);
+      EXPECT_EQ(resid.At(i, c), r);
+      l += 0.5 * r * r;
+      b += r;
+    }
+    EXPECT_NEAR(loss[c], l, 1e-15);
+    EXPECT_EQ(bias[c], b);
+  }
+}
+
+TEST(GlmResidualKernelTest, ColumnsAreBitEqualToWidthOneAtRaggedShapes) {
+  // Ragged rows and widths leave partial vectors on both loop shapes; each
+  // column of the wide block must match the same column run alone, also
+  // when residuals overwrite the scores and when sums chain over windows.
+  Rng rng(7);
+  for (GlmFamily family : {GlmFamily::kGaussian, GlmFamily::kBinomial}) {
+    for (size_t n : {1u, 3u, 5u, 101u}) {
+      for (size_t k : {2u, 3u, 5u, 9u}) {
+        SCOPED_TRACE(std::to_string(n) + "x" + std::to_string(k));
+        DenseMatrix scores = RandomMatrix(n, k, &rng);
+        for (size_t i = 0; i < scores.size(); ++i) scores.data()[i] *= 8.0;
+        std::vector<double> y(n), intercepts(k);
+        for (double& v : y) v = rng.Uniform() < 0.5 ? 0.0 : 1.0;
+        for (double& v : intercepts) v = rng.Uniform(-1.0, 1.0);
+        std::vector<double> loss(k, 0.25), bias(k, -0.5);
+        DenseMatrix wide = scores;
+        GlmResidualsInto(wide, intercepts.data(), y.data(), family, &wide,
+                         loss.data(), bias.data());
+        for (size_t c = 0; c < k; ++c) {
+          DenseMatrix col = scores.SliceCols(c, c + 1);
+          DenseMatrix resid(n, 1);
+          double l = 0.25, b = -0.5;
+          GlmResidualsInto(col, &intercepts[c], y.data(), family, &resid, &l, &b);
+          for (size_t i = 0; i < n; ++i) {
+            EXPECT_EQ(wide.At(i, c), resid.At(i, 0)) << "row " << i;
+          }
+          EXPECT_EQ(loss[c], l) << "column " << c;
+          EXPECT_EQ(bias[c], b) << "column " << c;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

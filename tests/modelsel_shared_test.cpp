@@ -345,6 +345,143 @@ TEST(SharedScanTest, ScoreWindowMatchesPerModelScoring) {
   }
 }
 
+TEST(SharedScanTest, RaggedWidthColumnsBitEqualToWidthOneRuns) {
+  // Widths 3 and 5 leave a partial 4-lane vector in every row, and the odd
+  // training windows (68 rows for fold 0; 33 + 33 for fold 1) leave one at
+  // the end of each width-1 window. Every column must still match its
+  // width-1 run bit for bit, in training and in fold scoring.
+  const size_t n = 101, d = 4;
+  const std::vector<FoldRange> folds = {{0, 33}, {33, 68}};
+  for (GlmFamily family : {GlmFamily::kGaussian, GlmFamily::kBinomial}) {
+    DenseMatrix x, y;
+    if (family == GlmFamily::kBinomial) {
+      data::ClassificationDataset ds = data::MakeClassification(n, d, 0.1, 81);
+      x = ds.x;
+      y = ds.y;
+    } else {
+      auto ds = data::MakeRegression(n, d, 0.1, 82);
+      x = ds.x;
+      y = ds.y;
+    }
+    const Operand op = ml::BorrowOperand(x);
+    for (size_t width : {3u, 5u}) {
+      SCOPED_TRACE(std::string(family == GlmFamily::kBinomial ? "binomial" : "gaussian") +
+                   " width " + std::to_string(width));
+      std::vector<GlmConfig> configs(width);
+      for (size_t c = 0; c < width; ++c) {
+        configs[c].family = family;
+        configs[c].learning_rate = 0.05 + 0.03 * static_cast<double>(c);
+        configs[c].l2 = 0.01 * static_cast<double>(c);
+        configs[c].lr_decay = 0.05 * static_cast<double>(c);
+        configs[c].tolerance = c % 2 == 1 ? 1e-4 : 0.0;
+        configs[c].max_epochs = 30;
+      }
+      auto wide = SharedScanTrain(op, y, folds, configs);
+      ASSERT_TRUE(wide.ok()) << wide.status().message();
+      for (size_t c = 0; c < width; ++c) {
+        SCOPED_TRACE("config " + std::to_string(c));
+        auto narrow = SharedScanTrain(op, y, folds, {configs[c]});
+        ASSERT_TRUE(narrow.ok()) << narrow.status().message();
+        for (size_t f = 0; f < folds.size(); ++f) {
+          SCOPED_TRACE("fold " + std::to_string(f));
+          const SharedScanFold& w = wide->folds[f];
+          const SharedScanFold& one = narrow->folds[f];
+          for (size_t j = 0; j < d; ++j) {
+            EXPECT_EQ(w.weights.At(j, c), one.weights.At(j, 0)) << "weight " << j;
+          }
+          EXPECT_EQ(w.intercepts[c], one.intercepts[0]);
+          EXPECT_EQ(w.epochs_run[c], one.epochs_run[0]);
+          EXPECT_EQ(w.loss_histories[c], one.loss_histories[0]);
+
+          std::vector<FoldMetric> metrics = {FoldMetric::kNegRmse};
+          if (family == GlmFamily::kBinomial) {
+            metrics = {FoldMetric::kAccuracy, FoldMetric::kNegLogLoss};
+          }
+          for (FoldMetric metric : metrics) {
+            auto wide_scores = ScoreConfigsOnWindow(op, y, folds[f].begin, folds[f].end,
+                                                    w.weights, w.intercepts, family, metric);
+            auto one_scores = ScoreConfigsOnWindow(op, y, folds[f].begin, folds[f].end,
+                                                   one.weights, one.intercepts, family, metric);
+            ASSERT_TRUE(wide_scores.ok() && one_scores.ok());
+            EXPECT_EQ((*wide_scores)[c], (*one_scores)[0])
+                << "metric " << static_cast<int>(metric);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SharedScanTest, FoldScoringContract) {
+  // One feature, so a config's validation scores are s = w·x + b exactly.
+  // With w = 1 every row is on the wrong side with |s| > 40: even rows have
+  // label 0 and score +|x|, odd rows label 1 and score −|x|.
+  const size_t n = 8;
+  DenseMatrix x(n, 1), y(n, 1);
+  for (size_t i = 0; i < n; ++i) {
+    const double magnitude = 41.0 + static_cast<double>(i);
+    x.At(i, 0) = i % 2 == 0 ? magnitude : -magnitude;
+    y.At(i, 0) = i % 2 == 0 ? 0.0 : 1.0;
+  }
+  const Operand op = ml::BorrowOperand(x);
+  auto softplus = [](double m) { return m > 0 ? std::log1p(std::exp(-m))
+                                              : -m + std::log1p(std::exp(m)); };
+  DenseMatrix weights(1, 2);  // Column 0: w = 1; column 1: w = 0, so s = 0.
+  weights.At(0, 0) = 1.0;
+  const std::vector<double> intercepts = {0.0, 0.0};
+
+  // kNegLogLoss is the exact mean softplus of the negated margin, with no
+  // probability clip capping a row at −log(1e-12) = 27.63.
+  auto nll = ScoreConfigsOnWindow(op, y, 0, n, weights, intercepts,
+                                  GlmFamily::kBinomial, FoldMetric::kNegLogLoss);
+  ASSERT_TRUE(nll.ok()) << nll.status().message();
+  double mean = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const double m = (y.At(i, 0) > 0.5 ? 1.0 : -1.0) * x.At(i, 0);
+    mean += softplus(m);
+  }
+  mean /= static_cast<double>(n);
+  EXPECT_TRUE(std::isfinite((*nll)[0]));
+  EXPECT_NEAR((*nll)[0], -mean, 1e-12 * mean);
+  EXPECT_LT((*nll)[0], -40.0) << "each row costs more than the clip's 27.63";
+  // Column 1 scores s = 0: log loss log 2 per row.
+  EXPECT_NEAR((*nll)[1], -std::log(2.0), 1e-15);
+
+  // kAccuracy at s = 0 exactly predicts label 1: σ(0) = 0.5 ≥ 0.5.
+  auto acc = ScoreConfigsOnWindow(op, y, 0, n, weights, intercepts,
+                                  GlmFamily::kBinomial, FoldMetric::kAccuracy);
+  ASSERT_TRUE(acc.ok());
+  EXPECT_EQ((*acc)[0], 0.0) << "every row is on the wrong side";
+  EXPECT_EQ((*acc)[1], 0.5) << "the label-1 half is right";
+
+  // A one-row window scores that row alone.
+  for (FoldMetric metric : {FoldMetric::kAccuracy, FoldMetric::kNegLogLoss}) {
+    auto one = ScoreConfigsOnWindow(op, y, 3, 4, weights, intercepts,
+                                    GlmFamily::kBinomial, metric);
+    ASSERT_TRUE(one.ok()) << one.status().message();
+    ASSERT_EQ(one->size(), 2u);
+    if (metric == FoldMetric::kAccuracy) {
+      EXPECT_EQ((*one)[0], 0.0);
+      EXPECT_EQ((*one)[1], 1.0) << "row 3 has label 1";
+    } else {
+      EXPECT_NEAR((*one)[0], -softplus(x.At(3, 0)), 1e-12 * std::fabs(x.At(3, 0)));
+    }
+  }
+  auto rmse = ScoreConfigsOnWindow(op, y, 3, 4, weights, intercepts,
+                                   GlmFamily::kGaussian, FoldMetric::kNegRmse);
+  ASSERT_TRUE(rmse.ok());
+  EXPECT_EQ((*rmse)[0], -std::fabs(x.At(3, 0) - 1.0));
+  EXPECT_EQ((*rmse)[1], -1.0);
+
+  // Labels must be one column over every row of X.
+  EXPECT_FALSE(ScoreConfigsOnWindow(op, DenseMatrix(n - 1, 1), 0, 2, weights,
+                                    intercepts, GlmFamily::kBinomial,
+                                    FoldMetric::kNegLogLoss).ok());
+  EXPECT_FALSE(ScoreConfigsOnWindow(op, DenseMatrix(n, 2), 0, 2, weights,
+                                    intercepts, GlmFamily::kBinomial,
+                                    FoldMetric::kNegLogLoss).ok());
+}
+
 TEST(SharedScanTest, RungCountersAndWidthHistogram) {
   DenseMatrix x = data::GaussianMatrix(60, 3, 51);
   DenseMatrix y = data::GaussianMatrix(60, 1, 52);
