@@ -8,11 +8,11 @@
 #include <memory>
 
 #include "data/generators.h"
+#include "laopt/compile.h"
 #include "laopt/cse.h"
 #include "laopt/executor.h"
 #include "laopt/optimizer.h"
 #include "laopt/parser.h"
-#include "laopt/pipeline.h"
 #include "ml/metrics.h"
 #include "util/stopwatch.h"
 
@@ -37,7 +37,8 @@ int main() {
     return 1;
   }
   // Full pipeline: static analysis (shape/sparsity/footprint validation),
-  // rewrites, CSE. Set DMML_EXPLAIN=1 to log the per-node analysis table.
+  // rewrites and elementwise fusion, CSE. Set DMML_EXPLAIN=1 to log the
+  // per-node analysis table.
   laopt::PlanReport report;
   auto optimized = laopt::CompilePlan(*parsed, {}, &report);
   if (!optimized.ok()) {

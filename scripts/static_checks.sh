@@ -38,12 +38,17 @@
 #     and dense nonzero counts shared by concurrent first callers) and
 #     la_kernels_parity_test (the kernel engine, including the GLM
 #     residual kernel's vector exp/log1p and its padded partial vectors)
-#     run under both sanitizers, plain and with DMML_INTER_NODE=1.
-#  4. A plan-verifier gate: every laopt test binary plus the laopt benches
-#     re-run in the Release build with DMML_VERIFY=1 DMML_LINT=1, so the
-#     structural verifier checks every optimizer pass output at -O2 (Release
-#     defines NDEBUG, which otherwise leaves the verifier off). Any
-#     diagnostic of severity error fails the plan and hence the binary.
+#     run under both sanitizers, plain and with DMML_INTER_NODE=1, and so
+#     does laopt_fusion_test (fused elementwise nodes: the cell-program
+#     kernel split across the pool, bit-equal to the unfused plan under
+#     every binding and scheduling mode).
+#  4. A plan-verifier gate: every laopt test binary (pipeline_test and
+#     laopt_fusion_test included, so the fusion step runs under it) plus the
+#     laopt benches re-run in the Release build with DMML_VERIFY=1
+#     DMML_LINT=1. The verifier is on by default in every build (the
+#     Release flags are -O2 without NDEBUG); setting it here keeps the gate
+#     on if that default ever changes, and DMML_LINT=1 adds the lint rules.
+#     Any diagnostic of severity error fails the plan and hence the binary.
 #     The same suite then re-runs with DMML_INTER_NODE=1, forcing the
 #     dependency-counter dataflow scheduler onto every pooled executor —
 #     results must stay bit-identical and laopt.sched.buffer_conflicts zero.
@@ -110,7 +115,7 @@ echo "static_checks: building smoke benches (Release) in $smoke_dir..."
 if cmake -B "$smoke_dir" -S "$repo_root" -DCMAKE_BUILD_TYPE=Release >/dev/null \
     && cmake --build "$smoke_dir" --target bench_kernels --target bench_cla \
          --target bench_laopt --target bench_ablations --target bench_modelsel \
-         --target bench_pipeline --target bench_factorized -j >/dev/null; then
+         --target bench_pipeline --target bench_factorized -j "$(nproc)" >/dev/null; then
   if "$smoke_dir/bench/bench_kernels" --smoke; then
     echo "static_checks: kernel smoke clean"
   else
@@ -199,17 +204,19 @@ fi
 
 # ---------------------------------------------------------------------------
 # Plan-verifier gate: re-run every laopt test binary and the laopt benches in
-# the Release build with the structural verifier and linter forced on
-# (Release defines NDEBUG, so DMML_VERIFY defaults off there). The verifier
-# runs after every optimizer pass; a diagnostic of severity error turns into
-# a failed Status, which every test and bench propagates as a nonzero exit.
+# the Release build with the structural verifier and linter forced on (the
+# verifier already defaults on — the Release flags do not define NDEBUG —
+# so DMML_VERIFY=1 pins that and DMML_LINT=1 adds the lint rules). The
+# verifier runs after every optimizer pass; a diagnostic of severity error
+# turns into a failed Status, which every test and bench propagates as a
+# nonzero exit.
 # ---------------------------------------------------------------------------
 verifier_tests="laopt_test laopt_cse_test laopt_analysis_test \
 laopt_aggregates_test laopt_repr_test laopt_profile_test laopt_verify_test \
-laopt_sched_test"
+laopt_sched_test pipeline_test laopt_fusion_test"
 echo "static_checks: verifier gate — laopt tests + benches with DMML_VERIFY=1 DMML_LINT=1..."
 # shellcheck disable=SC2086
-if cmake --build "$smoke_dir" --target $verifier_tests -j >/dev/null; then
+if cmake --build "$smoke_dir" --target $verifier_tests -j "$(nproc)" >/dev/null; then
   for t in $verifier_tests; do
     if DMML_VERIFY=1 DMML_LINT=1 "$smoke_dir/tests/$t" >/dev/null; then
       echo "static_checks: $t clean under checked verifier"
@@ -258,13 +265,14 @@ fi
 # ---------------------------------------------------------------------------
 run_sanitized_repr_gate() {
   local san="$1" dir="$2"
-  echo "static_checks: building laopt_repr_test + laopt_verify_test + laopt_sched_test + laopt_analysis_test + modelsel_shared_test + modelsel_test + factorized_test + la_kernels_parity_test + pipeline_frontend_test (DMML_SANITIZE=$san) in $dir..."
+  echo "static_checks: building laopt_repr_test + laopt_verify_test + laopt_sched_test + laopt_analysis_test + modelsel_shared_test + modelsel_test + factorized_test + la_kernels_parity_test + laopt_fusion_test + pipeline_frontend_test (DMML_SANITIZE=$san) in $dir..."
   if cmake -B "$dir" -S "$repo_root" -DDMML_SANITIZE="$san" >/dev/null \
       && cmake --build "$dir" --target laopt_repr_test --target laopt_verify_test \
            --target laopt_sched_test --target laopt_analysis_test \
            --target modelsel_shared_test --target modelsel_test \
            --target factorized_test --target la_kernels_parity_test \
-           --target pipeline_frontend_test -j >/dev/null; then
+           --target laopt_fusion_test \
+           --target pipeline_frontend_test -j "$(nproc)" >/dev/null; then
     if "$dir/tests/laopt_repr_test" >/dev/null \
         && DMML_INTER_NODE=1 "$dir/tests/laopt_repr_test" >/dev/null; then
       echo "static_checks: repr parity clean under $san"
@@ -308,10 +316,11 @@ run_sanitized_repr_gate() {
       status=1
     fi
     # Every GLM caller trains through the rung engine's plans, the
-    # factorized operand's ranged products feed its fold windows, and the
-    # residual kernel runs every epoch's middle: the model-selection,
-    # factorized and kernel suites run plain and inter-node too.
-    for t in modelsel_test factorized_test la_kernels_parity_test; do
+    # factorized operand's ranged products feed its fold windows, the
+    # residual kernel runs every epoch's middle, and fused elementwise nodes
+    # run the cell-program kernel on the pool: the model-selection,
+    # factorized, kernel and fused-node suites run plain and inter-node too.
+    for t in modelsel_test factorized_test la_kernels_parity_test laopt_fusion_test; do
       if "$dir/tests/$t" >/dev/null \
           && DMML_INTER_NODE=1 "$dir/tests/$t" >/dev/null; then
         echo "static_checks: $t clean under $san"
@@ -346,7 +355,7 @@ run_sanitized_repr_gate "address,undefined" "$repo_root/build-asan"
 tsan_dir="$repo_root/build-tsan"
 for t in obs_test laopt_profile_test; do
   echo "static_checks: building $t (DMML_SANITIZE=thread)..."
-  if cmake --build "$tsan_dir" --target "$t" -j >/dev/null \
+  if cmake --build "$tsan_dir" --target "$t" -j "$(nproc)" >/dev/null \
       && "$tsan_dir/tests/$t" >/dev/null; then
     echo "static_checks: $t clean under thread sanitizer"
   else
@@ -364,7 +373,7 @@ done
 dmbench_dir="$repo_root/build-dmbench"
 echo "static_checks: building dmbench_test (dmbench project, Release) in $dmbench_dir..."
 if cmake -B "$dmbench_dir" -S "$repo_root/dmbench" -DCMAKE_BUILD_TYPE=Release >/dev/null \
-    && cmake --build "$dmbench_dir" --target dmbench_test -j >/dev/null; then
+    && cmake --build "$dmbench_dir" --target dmbench_test -j "$(nproc)" >/dev/null; then
   if (cd "$dmbench_dir" && ./dmbench_test >/dev/null); then
     echo "static_checks: dmbench_test clean"
   else

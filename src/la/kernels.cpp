@@ -1097,6 +1097,96 @@ void GlmResidualsInto(const DenseMatrix& scores, const double* intercepts,
 }
 
 // ---------------------------------------------------------------------------
+// Elementwise cell programs
+// ---------------------------------------------------------------------------
+
+namespace {
+
+constexpr size_t kCellBlock = 512;
+
+// dst = op(x, y) over one block. An in-place dst (== x) gets its own loop,
+// so the compiler's alias check only has to separate dst from y.
+template <typename Op>
+void CellBlock(double* dst, const double* x, const double* y, size_t len, Op op) {
+  if (dst == x) {
+    for (size_t j = 0; j < len; ++j) dst[j] = op(dst[j], y[j]);
+  } else {
+    for (size_t j = 0; j < len; ++j) dst[j] = op(x[j], y[j]);
+  }
+}
+
+}  // namespace
+
+size_t CellProgramDepth(const CellProgram& program) {
+  size_t depth = 0;
+  size_t max_depth = 0;
+  for (const CellOp& op : program) {
+    if (op.code == CellOp::kLoad) max_depth = std::max(max_depth, ++depth);
+    if (op.code != CellOp::kLoad && op.code != CellOp::kScale) --depth;
+  }
+  return max_depth;
+}
+
+void CellProgramInto(const CellProgram& program,
+                     const std::vector<const DenseMatrix*>& inputs,
+                     DenseMatrix* out, ThreadPool* pool) {
+  DMML_CHECK(!inputs.empty() && !program.empty());
+  const size_t rows = inputs[0]->rows();
+  const size_t cols = inputs[0]->cols();
+  for (const DenseMatrix* in : inputs) {
+    DMML_CHECK(in->rows() == rows && in->cols() == cols && in != out);
+  }
+  EnsureOut(out, rows, cols);
+  const size_t depth = CellProgramDepth(program);
+  double* out_data = out->data();
+  ParallelForChunks(pool, out->size(), GrainFor(program.size()),
+                    [&](size_t, size_t begin, size_t end) {
+    // Stack level s of a block is scratch row s, or an input's cells when
+    // the level holds a plain load; the last instruction writes into `out`.
+    std::vector<double> scratch(depth * kCellBlock);
+    std::vector<const double*> stack(depth);
+    for (size_t b = begin; b < end; b += kCellBlock) {
+      const size_t len = std::min(kCellBlock, end - b);
+      size_t top = 0;
+      for (size_t k = 0; k < program.size(); ++k) {
+        const CellOp& op = program[k];
+        if (op.code == CellOp::kLoad) {
+          stack[top++] = inputs[op.input]->data() + b;
+          continue;
+        }
+        if (op.code != CellOp::kScale) --top;
+        const size_t pos = top - 1;  // The result's level (and x's).
+        double* dst = k + 1 == program.size() ? out_data + b
+                                              : scratch.data() + pos * kCellBlock;
+        const double* x = stack[pos];
+        const double* y = op.code == CellOp::kScale ? x : stack[top];
+        const double alpha = op.alpha;
+        switch (op.code) {
+          case CellOp::kScale:
+            CellBlock(dst, x, y, len, [alpha](double u, double) { return alpha * u; });
+            break;
+          case CellOp::kAdd:
+            CellBlock(dst, x, y, len, [](double u, double v) { return u + v; });
+            break;
+          case CellOp::kSub:
+            CellBlock(dst, x, y, len, [](double u, double v) { return u - v; });
+            break;
+          case CellOp::kMul:
+            CellBlock(dst, x, y, len, [](double u, double v) { return u * v; });
+            break;
+          case CellOp::kLoad:
+            break;
+        }
+        stack[pos] = dst;
+      }
+      if (program.back().code == CellOp::kLoad) {
+        std::copy(stack[0], stack[0] + len, out_data + b);
+      }
+    }
+  });
+}
+
+// ---------------------------------------------------------------------------
 // Naive reference kernels
 // ---------------------------------------------------------------------------
 

@@ -42,7 +42,9 @@
 #ifndef DMML_LA_KERNELS_H_
 #define DMML_LA_KERNELS_H_
 
+#include <cstdint>
 #include <functional>
+#include <vector>
 
 #include "la/dense_matrix.h"
 #include "la/sparse_matrix.h"
@@ -288,6 +290,40 @@ enum class GlmFamily {
 void GlmResidualsInto(const DenseMatrix& scores, const double* intercepts,
                       const double* y, GlmFamily family, DenseMatrix* resid,
                       double* loss_sums, double* resid_sums);
+
+// ---------------------------------------------------------------------------
+// Elementwise cell programs
+// ---------------------------------------------------------------------------
+
+/// \brief One instruction of a postfix cell program over same-shaped inputs.
+struct CellOp {
+  enum Code : uint8_t {
+    kLoad,   ///< Push input `input`'s cell.
+    kAdd,    ///< Pop b, pop a, push a + b.
+    kSub,    ///< Pop b, pop a, push a − b.
+    kMul,    ///< Pop b, pop a, push a · b.
+    kScale,  ///< Replace the top t with alpha · t.
+  };
+  Code code = kLoad;
+  uint32_t input = 0;  ///< kLoad only.
+  double alpha = 1.0;  ///< kScale only.
+};
+using CellProgram = std::vector<CellOp>;
+
+/// \brief Deepest stack a well-formed `program` reaches.
+size_t CellProgramDepth(const CellProgram& program);
+
+/// \brief out = `program` run on every cell of `inputs`, which all have the
+/// result's shape. `program` must be well-formed: every load names an input,
+/// no pop finds the stack empty, and one value is left. Cells run in blocks
+/// of at most 512 and each instruction is one loop over the block, so a
+/// cell sees exactly the roundings of the unfused ScaleInto / AddInto /
+/// SubtractInto / ElementwiseMultiplyInto chain: the result is bit-equal to
+/// it at any chunking. Scratch is one block per stack level per chunk.
+/// `out` must not alias an input.
+void CellProgramInto(const CellProgram& program,
+                     const std::vector<const DenseMatrix*>& inputs,
+                     DenseMatrix* out, ThreadPool* pool = nullptr);
 
 // ---------------------------------------------------------------------------
 // Naive reference kernels

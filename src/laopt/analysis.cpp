@@ -54,6 +54,21 @@ double MatMulSparsity(double sa, double sb, const Dim& inner) {
   return MatMulSparsityEstimate(sa, sb, inner.value);
 }
 
+// Sparsity of one elementwise op under independence: a ± b is nonzero when
+// either side is (sa + sb − sa·sb), a ⊙ b when both are (sa·sb), α·a keeps
+// a's pattern unless α = 0. The elementwise arms and a fused node's program
+// replay both go through here, so fusing a region keeps its estimate.
+double CellOpSparsity(const la::CellOp& op, double sa, double sb) {
+  switch (op.code) {
+    case la::CellOp::kMul:
+      return ClampSparsity(sa * sb);
+    case la::CellOp::kScale:
+      return op.alpha == 0.0 ? 0.0 : sa;
+    default:
+      return ClampSparsity(sa + sb - sa * sb);
+  }
+}
+
 // Sparsity of a length-k reduction of cells with sparsity s (a row/col sum
 // is nonzero if any summand is).
 double ReduceSparsity(double s, const Dim& length) {
@@ -199,16 +214,39 @@ Result<NodeAnalysis> DagAnalysis::Ensure(const ExprPtr& node) {
       }
       info.shape.rows = a.rows.known ? a.rows : b.rows;
       info.shape.cols = a.cols.known ? a.cols : b.cols;
-      const double sa = kids[0].sparsity, sb = kids[1].sparsity;
-      info.sparsity = node->kind() == OpKind::kElemMul
-                          ? ClampSparsity(sa * sb)
-                          : ClampSparsity(sa + sb - sa * sb);
+      info.sparsity =
+          CellOpSparsity(CellOpOf(*node), kids[0].sparsity, kids[1].sparsity);
       break;
     }
     case OpKind::kScalarMul:
       info.shape = kids[0].shape;
-      info.sparsity = node->scalar() == 0.0 ? 0.0 : kids[0].sparsity;
+      info.sparsity = CellOpSparsity(CellOpOf(*node), kids[0].sparsity, 0.0);
       break;
+    case OpKind::kFused: {
+      const Status valid = ValidateFused(node->children(), node->program(),
+                                         node->rows(), node->cols());
+      if (!valid.ok()) {
+        DMML_COUNTER_INC("laopt.analysis.shape_rejects");
+        return Status::InvalidArgument("plan-time error at node " +
+                                       Abbreviate(*node) + ": " +
+                                       valid.message());
+      }
+      // Replay the program's sparsity through the per-op formulas.
+      std::vector<double> stack;
+      for (const la::CellOp& op : node->program()) {
+        if (op.code == la::CellOp::kLoad) {
+          stack.push_back(kids[op.input].sparsity);
+        } else if (op.code == la::CellOp::kScale) {
+          stack.back() = CellOpSparsity(op, stack.back(), 0.0);
+        } else {
+          const double sb = stack.back();
+          stack.pop_back();
+          stack.back() = CellOpSparsity(op, stack.back(), sb);
+        }
+      }
+      info.sparsity = stack.back();
+      break;
+    }
     case OpKind::kSum:
       info.sparsity = kids[0].sparsity > 0.0 ? 1.0 : 0.0;
       break;
@@ -283,7 +321,7 @@ std::string DagAnalysis::Explain(const ExprPtr& root) {
   os << "EXPLAIN plan: " << order.size() << " nodes\n";
   for (const ExprPtr& node : order) {
     auto analyzed = Ensure(node);
-    os << "  [" << ids[node.get()] << "] " << OpKindName(node->kind());
+    os << "  [" << ids[node.get()] << "] " << node->Label();
     if (node->kind() == OpKind::kInput) {
       os << " " << (node->name().empty() ? "_" : node->name());
       if (!node->operand().bound()) os << " (placeholder)";

@@ -20,10 +20,12 @@
 /// diagnostic naming the offending node and both operand shapes.
 ///
 /// Consumers: the optimizer's matrix-chain DP costs candidate orders with
-/// analyzer shapes and sparsities (laopt/optimizer.h), and the fusion
-/// executor declines regions whose estimated working set exceeds a memory
-/// budget (laopt/fusion.h). `DagAnalysis::Explain` renders the per-node
-/// table as a DMML_EXPLAIN-style dump.
+/// analyzer shapes and sparsities (laopt/optimizer.h), CompilePlan reports
+/// the final plan's shape, sparsity and footprint (laopt/compile.h), and the
+/// verifier's lint rules read sparsity bounds. A fused node's sparsity is
+/// its program replayed through the elementwise formulas, so fusing a
+/// region leaves the estimate unchanged. `DagAnalysis::Explain` renders the
+/// per-node table as a DMML_EXPLAIN-style dump.
 #ifndef DMML_LAOPT_ANALYSIS_H_
 #define DMML_LAOPT_ANALYSIS_H_
 

@@ -1,6 +1,5 @@
 #include "laopt/cse.h"
 
-#include <sstream>
 #include <unordered_map>
 
 #include "obs/metrics.h"
@@ -8,28 +7,6 @@
 namespace dmml::laopt {
 
 namespace {
-
-// Structural key of a node given canonical ids for its children.
-std::string NodeKey(const ExprNode& node, const std::vector<size_t>& child_ids) {
-  std::ostringstream os;
-  os << static_cast<int>(node.kind());
-  if (node.kind() == OpKind::kInput) {
-    // Payload identity (dense, sparse, or compressed alike); placeholders
-    // have no payload, so each one is keyed by its own node address and
-    // never merges with another.
-    const void* payload = node.operand().payload();
-    os << ":" << (payload ? payload : static_cast<const void*>(&node));
-    // Distinct row windows over one payload are distinct values — never
-    // merge a fold slice with the full matrix (or another fold).
-    if (node.operand().windowed()) {
-      os << "[" << node.operand().window_begin() << ","
-         << node.operand().window_end() << ")";
-    }
-  }
-  if (node.kind() == OpKind::kScalarMul) os << ":" << node.scalar();
-  for (size_t id : child_ids) os << "," << id;
-  return os.str();
-}
 
 class HashConser {
  public:
@@ -48,7 +25,7 @@ class HashConser {
       kids.push_back(std::move(interned));
     }
 
-    std::string key = NodeKey(*node, child_ids);
+    std::string key = StructuralKey(*node, child_ids);
     auto it = table_.find(key);
     if (it != table_.end()) {
       if (it->second.get() != node.get()) DMML_COUNTER_INC("laopt.cse.merges");
@@ -59,48 +36,7 @@ class HashConser {
 
     // Rebuild the node over the interned children (children may have been
     // replaced by canonical representatives).
-    ExprPtr rebuilt;
-    switch (node->kind()) {
-      case OpKind::kInput:
-        rebuilt = node;
-        break;
-      case OpKind::kMatMul: {
-        DMML_ASSIGN_OR_RETURN(rebuilt, ExprNode::MatMul(kids[0], kids[1]));
-        break;
-      }
-      case OpKind::kTranspose: {
-        DMML_ASSIGN_OR_RETURN(rebuilt, ExprNode::Transpose(kids[0]));
-        break;
-      }
-      case OpKind::kAdd: {
-        DMML_ASSIGN_OR_RETURN(rebuilt, ExprNode::Add(kids[0], kids[1]));
-        break;
-      }
-      case OpKind::kSubtract: {
-        DMML_ASSIGN_OR_RETURN(rebuilt, ExprNode::Subtract(kids[0], kids[1]));
-        break;
-      }
-      case OpKind::kElemMul: {
-        DMML_ASSIGN_OR_RETURN(rebuilt, ExprNode::ElemMul(kids[0], kids[1]));
-        break;
-      }
-      case OpKind::kScalarMul: {
-        DMML_ASSIGN_OR_RETURN(rebuilt, ExprNode::ScalarMul(node->scalar(), kids[0]));
-        break;
-      }
-      case OpKind::kSum: {
-        DMML_ASSIGN_OR_RETURN(rebuilt, ExprNode::Sum(kids[0]));
-        break;
-      }
-      case OpKind::kRowSums: {
-        DMML_ASSIGN_OR_RETURN(rebuilt, ExprNode::RowSums(kids[0]));
-        break;
-      }
-      case OpKind::kColSums: {
-        DMML_ASSIGN_OR_RETURN(rebuilt, ExprNode::ColSums(kids[0]));
-        break;
-      }
-    }
+    DMML_ASSIGN_OR_RETURN(ExprPtr rebuilt, WithChildren(node, std::move(kids)));
     ids_.emplace(rebuilt.get(), next_id_++);
     table_.emplace(std::move(key), rebuilt);
     visited_.emplace(node.get(), rebuilt);

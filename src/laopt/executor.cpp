@@ -13,7 +13,6 @@
 
 #include "la/kernels.h"
 #include "laopt/analysis.h"
-#include "laopt/optimizer.h"
 #include "laopt/profile.h"
 #include "laopt/verify.h"
 #include "obs/metrics.h"
@@ -26,7 +25,7 @@ using la::SparseMatrix;
 
 namespace {
 
-constexpr size_t kNumOpKinds = static_cast<size_t>(OpKind::kColSums) + 1;
+constexpr size_t kNumOpKinds = static_cast<size_t>(OpKind::kFused) + 1;
 
 // Per-op-kind instruments, resolved once. The names double as span labels so
 // metrics and trace rows line up (e.g. counter laopt.executor.ops.matmul and
@@ -603,32 +602,7 @@ Status BufferedExecutor::DriveInterNode(ParallelPlan& par) {
   // Prefill every leaf (the serial kInput path, hoisted): bind errors
   // surface here, before any task launches.
   for (auto& [leaf, slot] : par.leaves) {
-    const auto bound = binds_.find(leaf.get());
-    const Operand& operand =
-        bound != binds_.end() ? bound->second : leaf->operand();
-    if (!operand.bound()) {
-      return Status::FailedPrecondition(
-          "cannot execute unbound placeholder '" +
-          (leaf->name().empty() ? std::string("_") : leaf->name()) + "'");
-    }
-    switch (operand.repr()) {
-      case Repr::kDense:
-        slot->out = {Repr::kDense, operand.dense(), nullptr, nullptr};
-        break;
-      case Repr::kSparse:
-        slot->out = {Repr::kSparse, nullptr, operand.sparse(), nullptr};
-        break;
-      case Repr::kCompressed:
-        slot->out = {Repr::kCompressed, nullptr, nullptr, operand.compressed()};
-        break;
-      case Repr::kFactorized:
-        slot->out = {Repr::kFactorized, nullptr, nullptr, nullptr,
-                     operand.linear()};
-        break;
-    }
-    slot->out.windowed = operand.windowed();
-    slot->out.win_begin = operand.window_begin();
-    slot->out.win_end = operand.window_end();
+    DMML_ASSIGN_OR_RETURN(slot->out, LeafValue(leaf));
     slot->first_pending.store(true, std::memory_order_relaxed);
     slot->epoch.store(epoch_, std::memory_order_release);
   }
@@ -1010,6 +984,27 @@ Result<BufferedExecutor::Value> BufferedExecutor::AwaitConcurrentEval(
   }
 }
 
+Result<BufferedExecutor::Value> BufferedExecutor::LeafValue(
+    const ExprPtr& leaf) const {
+  const auto bound = binds_.find(leaf.get());
+  const Operand& operand = bound != binds_.end() ? bound->second : leaf->operand();
+  if (!operand.bound()) {
+    return Status::FailedPrecondition(
+        "cannot execute unbound placeholder '" +
+        (leaf->name().empty() ? std::string("_") : leaf->name()) + "'");
+  }
+  Value v;
+  v.repr = operand.repr();
+  v.d = operand.dense();
+  v.s = operand.sparse();
+  v.c = operand.compressed();
+  v.lo = operand.linear();
+  v.windowed = operand.windowed();
+  v.win_begin = operand.window_begin();
+  v.win_end = operand.window_end();
+  return v;
+}
+
 Result<BufferedExecutor::Value> BufferedExecutor::Eval(const ExprPtr& node) {
   // unordered_map element references are stable across the recursive inserts
   // below, so holding `slot` through child evaluation is safe. (Inter-node
@@ -1020,32 +1015,7 @@ Result<BufferedExecutor::Value> BufferedExecutor::Eval(const ExprPtr& node) {
   }
 
   if (node->kind() == OpKind::kInput) {
-    auto bound = binds_.find(node.get());
-    const Operand& operand =
-        bound != binds_.end() ? bound->second : node->operand();
-    if (!operand.bound()) {
-      return Status::FailedPrecondition(
-          "cannot execute unbound placeholder '" +
-          (node->name().empty() ? std::string("_") : node->name()) + "'");
-    }
-    switch (operand.repr()) {
-      case Repr::kDense:
-        slot.out = {Repr::kDense, operand.dense(), nullptr, nullptr};
-        break;
-      case Repr::kSparse:
-        slot.out = {Repr::kSparse, nullptr, operand.sparse(), nullptr};
-        break;
-      case Repr::kCompressed:
-        slot.out = {Repr::kCompressed, nullptr, nullptr, operand.compressed()};
-        break;
-      case Repr::kFactorized:
-        slot.out = {Repr::kFactorized, nullptr, nullptr, nullptr,
-                    operand.linear()};
-        break;
-    }
-    slot.out.windowed = operand.windowed();
-    slot.out.win_begin = operand.window_begin();
-    slot.out.win_end = operand.window_end();
+    DMML_ASSIGN_OR_RETURN(slot.out, LeafValue(node));
     slot.epoch.store(epoch_, std::memory_order_release);
     return slot.out;
   }
@@ -1277,6 +1247,18 @@ Result<BufferedExecutor::Value> BufferedExecutor::Eval(const ExprPtr& node) {
       }
       break;
     }
+    case OpKind::kFused: {
+      // One pass of the region's cell program over its dense inputs.
+      const auto& kids = node->children();
+      std::vector<const DenseMatrix*> inputs(kids.size());
+      for (size_t i = 0; i < kids.size(); ++i) {
+        DMML_ASSIGN_OR_RETURN(Value v, Eval(kids[i]));
+        DMML_ASSIGN_OR_RETURN(inputs[i], Densify(kids[i], v));
+      }
+      la::CellProgramInto(node->program(), inputs, slot.buf, pool_);
+      CountDispatch(slot, Repr::kDense);
+      break;
+    }
     case OpKind::kInput:
       return Status::Internal("unknown op kind in executor");
   }
@@ -1297,11 +1279,6 @@ Result<DenseMatrix> Execute(const ExprPtr& root, ThreadPool* pool, ExecStats* st
   BufferedExecutor executor(pool);
   DMML_ASSIGN_OR_RETURN(const DenseMatrix* out, executor.Run(root, stats));
   return *out;  // Copies out of the executor's transient buffers.
-}
-
-Result<DenseMatrix> OptimizeAndExecute(const ExprPtr& root, ThreadPool* pool) {
-  DMML_ASSIGN_OR_RETURN(ExprPtr optimized, Optimize(root));
-  return Execute(optimized, pool);
 }
 
 }  // namespace dmml::laopt

@@ -23,6 +23,9 @@
 ///    fused rowSums(T ⊙ T)), so a normalized-join design matrix trains —
 ///    also fold by fold — without ever materializing the join;
 ///  * row-windowed leaves      → the ranged form of each product above;
+///  * fused elementwise regions (kFused nodes, built by Optimize) → one
+///    morsel-parallel la::CellProgramInto pass over the node's children,
+///    bit-equal to running the region's ops one by one;
 ///  * everything else          → densify-on-mismatch fallback: the non-dense
 ///    operand is materialized into an executor-owned buffer (cached per
 ///    node, reused across runs) and the dense kernel runs. Every fallback
@@ -277,6 +280,10 @@ class BufferedExecutor {
   using BufferAssignment = std::unordered_map<const ExprNode*, size_t>;
 
   Result<Value> Eval(const ExprPtr& node);
+
+  /// The value of a leaf under its current binding (Bind() wins over the
+  /// node's own payload); fails on an unbound placeholder, naming it.
+  Result<Value> LeafValue(const ExprPtr& leaf) const;
   Result<Value> EvalMatMul(const ExprPtr& node, Slot& slot);
 
   /// Memo-hit return path: counts a hit (exactly as the serial executor
@@ -432,10 +439,6 @@ class BufferedExecutor {
 /// BufferedExecutor instead.
 Result<la::DenseMatrix> Execute(const ExprPtr& root, ThreadPool* pool = nullptr,
                                 ExecStats* stats = nullptr);
-
-/// \brief Optimize-then-execute convenience.
-Result<la::DenseMatrix> OptimizeAndExecute(const ExprPtr& root,
-                                           ThreadPool* pool = nullptr);
 
 }  // namespace dmml::laopt
 

@@ -1,7 +1,9 @@
 #include "laopt/optimizer.h"
 
+#include <algorithm>
 #include <limits>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -116,7 +118,13 @@ class Rewriter {
 
     switch (node->kind()) {
       case OpKind::kInput:
-        return node;
+      case OpKind::kAdd:
+      case OpKind::kSubtract:
+      case OpKind::kElemMul:
+      case OpKind::kRowSums:
+      case OpKind::kColSums:
+      case OpKind::kFused:
+        return WithChildren(node, std::move(kids));
       case OpKind::kTranspose: {
         // t(t(X)) -> X.
         if (options_.eliminate_transposes &&
@@ -181,12 +189,6 @@ class Rewriter {
         if (scalar != 1.0) return ExprNode::ScalarMul(scalar, mm);
         return mm;
       }
-      case OpKind::kAdd:
-        return ExprNode::Add(kids[0], kids[1]);
-      case OpKind::kSubtract:
-        return ExprNode::Subtract(kids[0], kids[1]);
-      case OpKind::kElemMul:
-        return ExprNode::ElemMul(kids[0], kids[1]);
       case OpKind::kSum: {
         // sum(a * X) -> a * sum(X).
         if (options_.fold_scalars && kids[0]->kind() == OpKind::kScalarMul) {
@@ -207,10 +209,6 @@ class Rewriter {
         }
         return ExprNode::Sum(kids[0]);
       }
-      case OpKind::kRowSums:
-        return ExprNode::RowSums(kids[0]);
-      case OpKind::kColSums:
-        return ExprNode::ColSums(kids[0]);
     }
     return Status::Internal("unknown op kind");
   }
@@ -218,6 +216,101 @@ class Rewriter {
   const OptimizerOptions& options_;
   OptimizerReport* report_;
   DagAnalysis* analysis_;
+  std::unordered_map<const ExprNode*, ExprPtr> memo_;
+};
+
+// Elementwise fusion over a rewritten DAG. A region grows from its root
+// down through elementwise children whose one consumer edge is the region
+// node above them; everything else it reads is a boundary input and becomes
+// a child of the kFused node (rewritten first, and deduplicated by
+// identity). Regions of one op, or of unknown or mixed shape, stay as they
+// are.
+class Fuser {
+ public:
+  Fuser(const ExprPtr& root, OptimizerReport* report) : report_(report) {
+    std::unordered_set<const ExprNode*> seen;
+    std::vector<const ExprNode*> stack{root.get()};
+    while (!stack.empty()) {
+      const ExprNode* n = stack.back();
+      stack.pop_back();
+      if (!seen.insert(n).second) continue;
+      for (const auto& c : n->children()) {
+        ++uses_[c.get()];
+        stack.push_back(c.get());
+      }
+    }
+  }
+
+  Result<ExprPtr> Fuse(const ExprPtr& node) {  // NOLINT(misc-no-recursion)
+    auto it = memo_.find(node.get());
+    if (it != memo_.end()) return it->second;
+    DMML_ASSIGN_OR_RETURN(ExprPtr result, FuseUncached(node));
+    memo_.emplace(node.get(), result);
+    return result;
+  }
+
+ private:
+  bool Absorbed(const ExprPtr& child) const {
+    return IsElementwise(child->kind()) && uses_.at(child.get()) == 1;
+  }
+
+  Result<ExprPtr> FuseUncached(const ExprPtr& node) {  // NOLINT(misc-no-recursion)
+    if (IsElementwise(node->kind()) && node->HasKnownShape() &&
+        std::any_of(node->children().begin(), node->children().end(),
+                    [&](const ExprPtr& c) { return Absorbed(c); })) {
+      Region region;
+      DMML_RETURN_IF_ERROR(Emit(node, &region));
+      const bool shapes_agree = std::all_of(
+          region.inputs.begin(), region.inputs.end(), [&](const ExprPtr& in) {
+            return in->rows() == node->rows() && in->cols() == node->cols();
+          });
+      if (shapes_agree) {
+        DMML_ASSIGN_OR_RETURN(ExprPtr fused,
+                              ExprNode::Fused(std::move(region.inputs),
+                                              std::move(region.program)));
+        if (report_) {
+          report_->regions_fused++;
+          report_->ops_fused += fused->NumFusedOps();
+        }
+        DMML_COUNTER_INC("laopt.fusion.regions_fused");
+        DMML_COUNTER_ADD("laopt.fusion.ops_fused", fused->NumFusedOps());
+        return fused;
+      }
+    }
+    std::vector<ExprPtr> kids;
+    kids.reserve(node->children().size());
+    for (const auto& c : node->children()) {
+      DMML_ASSIGN_OR_RETURN(ExprPtr k, Fuse(c));
+      kids.push_back(std::move(k));
+    }
+    return WithChildren(node, std::move(kids));
+  }
+
+  struct Region {
+    la::CellProgram program;
+    std::vector<ExprPtr> inputs;
+    std::unordered_map<const ExprNode*, uint32_t> input_index;
+  };
+
+  // Appends `node`'s postfix code to the region.
+  Status Emit(const ExprPtr& node, Region* region) {  // NOLINT(misc-no-recursion)
+    for (const auto& c : node->children()) {
+      if (Absorbed(c)) {
+        DMML_RETURN_IF_ERROR(Emit(c, region));
+        continue;
+      }
+      DMML_ASSIGN_OR_RETURN(ExprPtr input, Fuse(c));
+      const auto [it, inserted] = region->input_index.emplace(
+          input.get(), static_cast<uint32_t>(region->inputs.size()));
+      if (inserted) region->inputs.push_back(std::move(input));
+      region->program.push_back({la::CellOp::kLoad, it->second});
+    }
+    region->program.push_back(CellOpOf(*node));
+    return Status::OK();
+  }
+
+  OptimizerReport* report_;
+  std::unordered_map<const ExprNode*, size_t> uses_;
   std::unordered_map<const ExprNode*, ExprPtr> memo_;
 };
 
@@ -233,9 +326,12 @@ Result<ExprPtr> Optimize(const ExprPtr& root, const OptimizerOptions& options,
   }
   DagAnalysis local_analysis;
   Rewriter rewriter(options, report, analysis ? analysis : &local_analysis);
-  DMML_ASSIGN_OR_RETURN(ExprPtr result, rewriter.Rewrite(root));
-  // Checked-build soundness gate: the rewritten DAG must verify and preserve
-  // the root's value shape; a failure names this pass and the node.
+  DMML_ASSIGN_OR_RETURN(ExprPtr rewritten, rewriter.Rewrite(root));
+  Fuser fuser(rewritten, report);
+  DMML_ASSIGN_OR_RETURN(ExprPtr result, fuser.Fuse(rewritten));
+  // Soundness gate (see VerifyEnabled): the rewritten and fused DAG must
+  // verify and preserve the root's value shape; a failure names this pass
+  // and the node.
   DMML_RETURN_IF_ERROR(VerifyPassOutput("optimizer", root, result,
                                         /*expect_hash_consed=*/false,
                                         report ? &report->verify : nullptr));

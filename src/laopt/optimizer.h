@@ -7,7 +7,10 @@
 ///  * optimal matrix-chain ordering: flatten A·B·C·…, dynamic-programming
 ///    parenthesization by flop cost, rebuild. This turns e.g.
 ///    t(X)·(X·v) evaluated as (t(X)·X)·v — O(n·d²) — into the
-///    O(n·d) two-gemv order automatically (and vice versa when profitable).
+///    O(n·d) two-gemv order automatically (and vice versa when profitable);
+///  * elementwise fusion, always last: each maximal region of two or more
+///    elementwise ops (+, −, ⊙, scalar·) becomes one kFused node whose cell
+///    program the executor runs in one pass — no temporaries in between.
 #ifndef DMML_LAOPT_OPTIMIZER_H_
 #define DMML_LAOPT_OPTIMIZER_H_
 
@@ -32,6 +35,8 @@ struct OptimizerReport {
   size_t scalars_folded = 0;
   size_t chains_reordered = 0;
   size_t chains_costed = 0;  ///< Chains run through the analyzer-backed DP.
+  size_t regions_fused = 0;  ///< kFused nodes the fusion step built.
+  size_t ops_fused = 0;      ///< Elementwise ops folded into them.
   double flops_before = 0;
   double flops_after = 0;
 
@@ -41,12 +46,19 @@ struct OptimizerReport {
   std::vector<Diagnostic> verify;
 };
 
-/// \brief Applies the enabled rewrites bottom-up; returns the rewritten DAG.
+/// \brief Applies the enabled rewrites bottom-up, then fuses elementwise
+/// regions; returns the rewritten DAG.
 ///
 /// Matrix-chain reordering costs candidate orders with shapes and sparsity
 /// estimates from `analysis` (laopt/analysis.h); when none is supplied a
 /// private one is built on the fly. Chains containing unknown-dimension
 /// factors are left in source order (no sizes to reason with).
+///
+/// Fusion is not optional. It counts consumers over the rewritten DAG and
+/// fuses only through nodes with no other consumer, so a shared
+/// subexpression stays its own node and is computed once. A region fuses
+/// when its shape is known and every boundary input has that shape. Counters
+/// laopt.fusion.regions_fused and laopt.fusion.ops_fused.
 Result<ExprPtr> Optimize(const ExprPtr& root, const OptimizerOptions& options = {},
                          OptimizerReport* report = nullptr,
                          DagAnalysis* analysis = nullptr);

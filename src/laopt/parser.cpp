@@ -127,6 +127,7 @@ class Parser {
       case OpKind::kColSums:
         return ExprNode::ColSums(children[0]);
       case OpKind::kInput:
+      case OpKind::kFused:
         break;
     }
     return Status::Internal("parser: unexpected op kind");
@@ -308,7 +309,6 @@ Result<la::DenseMatrix> EvalExpression(const std::string& source,
                                        const Environment& env, ThreadPool* pool,
                                        PlanProfile* profile) {
   DMML_ASSIGN_OR_RETURN(ExprPtr expr, ParseExpression(source, env));
-  if (profile == nullptr) return OptimizeAndExecute(expr, pool);
   DMML_ASSIGN_OR_RETURN(ExprPtr optimized, Optimize(expr));
   BufferedExecutor executor(pool);
   executor.set_profile(profile);

@@ -60,10 +60,10 @@ Result<ExprPtr> ParseExpression(const std::string& source, const Environment& en
 Result<ExprPtr> ParseExpression(const std::string& source, const Environment& env,
                                 const ParseOptions& options);
 
-/// \brief Parse + optimize + execute in one call. The thread pool, if
-/// given, parallelizes the executed kernels (it is threaded through to
-/// OptimizeAndExecute — programs evaluated through the parser run on the
-/// caller's pool, not serially).
+/// \brief Parse + optimize + execute in one call: Optimize (rewrites and
+/// elementwise fusion), then a BufferedExecutor on `pool`. The thread pool,
+/// if given, parallelizes the executed kernels — programs evaluated through
+/// the parser run on the caller's pool, not serially.
 Result<la::DenseMatrix> EvalExpression(const std::string& source,
                                        const Environment& env,
                                        ThreadPool* pool = nullptr);
@@ -74,7 +74,7 @@ class PlanProfile;
 /// plan executes with `profile` attached (laopt/profile.h), so the caller
 /// can render per-node actual time and estimate-vs-actual calibration for
 /// the parsed program. A null `profile` behaves exactly like the overload
-/// above.
+/// above — both run the same path.
 Result<la::DenseMatrix> EvalExpression(const std::string& source,
                                        const Environment& env, ThreadPool* pool,
                                        PlanProfile* profile);

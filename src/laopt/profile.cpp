@@ -155,8 +155,7 @@ NodeProfile& PlanProfile::EnsureNodeLocked(const ExprNode* node) {
   if (inserted) {
     DMML_COUNTER_INC("laopt.profile.nodes_tracked");
     it->second.kind = node->kind();
-    it->second.name =
-        node->name().empty() ? OpKindName(node->kind()) : node->name();
+    it->second.name = node->name().empty() ? node->Label() : node->name();
   }
   return it->second;
 }
@@ -287,7 +286,7 @@ void RenderNodeText(const ExprNode* node,
   if (depth > 0) os << "-> ";
   const CalibratedNode& row = rows.at(node);
   if (!printed->insert(node).second) {
-    os << "[" << (row.prof ? row.prof->name : OpKindName(node->kind()))
+    os << "[" << (row.prof ? row.prof->name : node->Label())
        << " — shared, shown above]\n";
     return;
   }
@@ -302,7 +301,7 @@ void RenderNodeText(const ExprNode* node,
     return;
   }
 
-  os << OpKindName(node->kind());
+  os << node->Label();
   if (row.prof != nullptr && row.prof->invocations == 0 &&
       row.prof->fused_uses > 0) {
     // Absorbed by the consumer's fused kernel: its time is charged to the

@@ -48,7 +48,7 @@ struct ExecStats;
 /// \brief Accumulated runtime evidence for one DAG node.
 struct NodeProfile {
   OpKind kind = OpKind::kInput;
-  std::string name;  ///< Leaf name when present, else OpKindName(kind).
+  std::string name;  ///< Leaf name when present, else ExprNode::Label().
 
   uint64_t invocations = 0;        ///< Times the node actually executed.
   uint64_t memo_hits = 0;          ///< Times a consumer reused the memo.

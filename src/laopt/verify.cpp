@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <map>
 #include <sstream>
+#include <tuple>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -31,8 +32,6 @@ bool DimsCompatible(size_t a, size_t b) {
   return !Known(a) || !Known(b) || a == b;
 }
 
-size_t MergeDims(size_t a, size_t b) { return Known(a) ? a : b; }
-
 constexpr size_t kAbbrevLimit = 120;
 constexpr int kAbbrevDepth = 6;
 
@@ -52,6 +51,14 @@ void RenderNode(const ExprNode* node, int depth, std::string* out) {
   switch (node->kind()) {
     case OpKind::kInput:
       *out += node->name().empty() ? "_" : node->name();
+      return;
+    case OpKind::kFused:
+      *out += node->Label() + "(";
+      for (size_t i = 0; i < kids.size(); ++i) {
+        if (i > 0) *out += ", ";
+        RenderNode(kids[i].get(), depth + 1, out);
+      }
+      *out += ")";
       return;
     case OpKind::kScalarMul: {
       std::ostringstream s;
@@ -129,12 +136,22 @@ void AddDiag(std::vector<Diagnostic>* diags, Severity severity,
 }
 
 // Per-node structural checks: arity, null children, operand/shape
-// consistency, and an exact shape re-derivation mirroring the checked
-// factories in expr.cpp. A node whose recorded dims differ from the
+// consistency, and an exact shape re-derivation with DerivedShape, the rule
+// every factory in expr.cpp builds with. A node whose recorded dims differ from the
 // derivation is a *stale shape* — the signature of a rewrite that patched
 // children without rebuilding the node.
 void CheckNode(const ExprNode* node, std::vector<Diagnostic>* diags) {
   const auto& kids = node->children();
+  if (node->kind() == OpKind::kFused) {
+    // The same check ExprNode::Fused ran, re-run on what the node holds now.
+    const Status fused =
+        ValidateFused(kids, node->program(), node->rows(), node->cols());
+    if (!fused.ok()) {
+      AddDiag(diags, Severity::kError, "verify.fused_program", node,
+              fused.message());
+    }
+    return;
+  }
   const size_t arity = ExpectedArity(node->kind());
   if (kids.size() != arity) {
     AddDiag(diags, Severity::kError, "verify.arity", node,
@@ -153,58 +170,27 @@ void CheckNode(const ExprNode* node, std::vector<Diagnostic>* diags) {
 
   size_t want_rows = node->rows();
   size_t want_cols = node->cols();
-  switch (node->kind()) {
-    case OpKind::kInput:
-      if (node->operand().bound()) {
-        want_rows = node->operand().rows();
-        want_cols = node->operand().cols();
-      }
-      break;
-    case OpKind::kMatMul:
-      if (Known(kids[0]->cols()) && Known(kids[1]->rows()) &&
-          kids[0]->cols() != kids[1]->rows()) {
-        AddDiag(diags, Severity::kError, "verify.shape_mismatch", node,
-                "matmul inner dimensions disagree: " +
-                    std::to_string(kids[0]->cols()) + " vs " +
-                    std::to_string(kids[1]->rows()));
-      }
-      want_rows = kids[0]->rows();
-      want_cols = kids[1]->cols();
-      break;
-    case OpKind::kTranspose:
-      want_rows = kids[0]->cols();
-      want_cols = kids[0]->rows();
-      break;
-    case OpKind::kAdd:
-    case OpKind::kSubtract:
-    case OpKind::kElemMul:
-      if (!DimsCompatible(kids[0]->rows(), kids[1]->rows()) ||
-          !DimsCompatible(kids[0]->cols(), kids[1]->cols())) {
-        AddDiag(diags, Severity::kError, "verify.shape_mismatch", node,
-                std::string(OpKindName(node->kind())) +
-                    " operand shapes disagree: " +
-                    ShapeStr(kids[0]->rows(), kids[0]->cols()) + " vs " +
-                    ShapeStr(kids[1]->rows(), kids[1]->cols()));
-      }
-      want_rows = MergeDims(kids[0]->rows(), kids[1]->rows());
-      want_cols = MergeDims(kids[0]->cols(), kids[1]->cols());
-      break;
-    case OpKind::kScalarMul:
-      want_rows = kids[0]->rows();
-      want_cols = kids[0]->cols();
-      break;
-    case OpKind::kSum:
-      want_rows = 1;
-      want_cols = 1;
-      break;
-    case OpKind::kRowSums:
-      want_rows = kids[0]->rows();
-      want_cols = 1;
-      break;
-    case OpKind::kColSums:
-      want_rows = 1;
-      want_cols = kids[0]->cols();
-      break;
+  if (node->kind() != OpKind::kInput) {
+    std::tie(want_rows, want_cols) = DerivedShape(node->kind(), kids);
+  } else if (node->operand().bound()) {
+    want_rows = node->operand().rows();
+    want_cols = node->operand().cols();
+  }
+  if (node->kind() == OpKind::kMatMul && Known(kids[0]->cols()) &&
+      Known(kids[1]->rows()) && kids[0]->cols() != kids[1]->rows()) {
+    AddDiag(diags, Severity::kError, "verify.shape_mismatch", node,
+            "matmul inner dimensions disagree: " +
+                std::to_string(kids[0]->cols()) + " vs " +
+                std::to_string(kids[1]->rows()));
+  }
+  if (IsElementwise(node->kind()) && kids.size() == 2 &&
+      (!DimsCompatible(kids[0]->rows(), kids[1]->rows()) ||
+       !DimsCompatible(kids[0]->cols(), kids[1]->cols()))) {
+    AddDiag(diags, Severity::kError, "verify.shape_mismatch", node,
+            std::string(OpKindName(node->kind())) +
+                " operand shapes disagree: " +
+                ShapeStr(kids[0]->rows(), kids[0]->cols()) + " vs " +
+                ShapeStr(kids[1]->rows(), kids[1]->cols()));
   }
   if (node->rows() != want_rows || node->cols() != want_cols) {
     AddDiag(diags, Severity::kError, "verify.stale_shape", node,
@@ -244,10 +230,9 @@ size_t CountErrors(const std::vector<Diagnostic>& diags) {
 }
 
 // Canonical structural value identity shared across two DAGs: two nodes get
-// the same id iff they compute the same value under the CSE equivalence
-// (same kind, same scalar, payload-identical leaves, same child ids).
-// Mirrors cse.cpp's NodeKey so the soundness check and the pass agree on
-// what "the same value" means.
+// the same id iff they compute the same value under the CSE equivalence.
+// Keyed by StructuralKey, the function CSE merges by, so the soundness check
+// and the pass agree on what "the same value" means.
 class ValueIdTable {
  public:
   size_t Intern(const ExprNode* node) {
@@ -255,28 +240,12 @@ class ValueIdTable {
     auto it = memo_.find(node);
     if (it != memo_.end()) return it->second;
     if (!visiting_.insert(node).second) return 0;  // Cycle sentinel.
-    std::ostringstream key;
-    key << OpKindName(node->kind());
-    if (node->kind() == OpKind::kInput) {
-      // Bound leaves are equal iff they wrap the same payload; placeholder
-      // leaves only equal themselves.
-      const void* identity = node->operand().bound()
-                                 ? node->operand().payload()
-                                 : static_cast<const void*>(node);
-      key << "@" << identity;
-      // Row-windowed views of one payload are distinct values per window.
-      if (node->operand().windowed()) {
-        key << "[" << node->operand().window_begin() << ","
-            << node->operand().window_end() << ")";
-      }
-    } else if (node->kind() == OpKind::kScalarMul) {
-      key << "#" << std::hexfloat << node->scalar();
-    }
-    for (const auto& c : node->children()) {
-      key << ":" << Intern(c.get());
-    }
+    std::vector<size_t> child_ids;
+    child_ids.reserve(node->children().size());
+    for (const auto& c : node->children()) child_ids.push_back(Intern(c.get()));
     visiting_.erase(node);
-    auto [slot, inserted] = ids_.emplace(key.str(), ids_.size() + 1);
+    auto [slot, inserted] =
+        ids_.emplace(StructuralKey(*node, child_ids), ids_.size() + 1);
     memo_[node] = slot->second;
     return slot->second;
   }
@@ -586,6 +555,7 @@ std::vector<Diagnostic> LintImpl(const ExprPtr& root,
       case OpKind::kSubtract:
       case OpKind::kElemMul:
       case OpKind::kScalarMul:
+      case OpKind::kFused:
         if (!absorbed_by_fusion(n)) {
           for (const auto& c : kids) {
             if (c && repr_of(c.get()) != Repr::kDense) {

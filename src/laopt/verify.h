@@ -29,9 +29,10 @@
 ///    choices that force a densify on every run, non-finite scalars, and
 ///    environment bindings no leaf ever references.
 ///
-/// Verification is a checked-build facility: `VerifyEnabled()` defaults to
-/// on in debug builds and off under NDEBUG, overridable either way with
-/// DMML_VERIFY=0/1. Lint is opt-in via DMML_LINT=1 and is surfaced through
+/// `VerifyEnabled()` defaults to off only under NDEBUG, which no build of
+/// this repository defines: the Release flags are plain -O2 (dmbench's
+/// build mirrors them), so the verifier — like `assert` — is on in every
+/// build. DMML_VERIFY=0/1 overrides the default either way. Lint is opt-in via DMML_LINT=1 and is surfaced through
 /// the pipeline's DMML_EXPLAIN dump, the profiler's ExplainAnalyzeText/Json,
 /// and the `laopt.verify.*` counter family.
 #ifndef DMML_LAOPT_VERIFY_H_
@@ -66,10 +67,11 @@ struct Diagnostic {
   std::string message;  ///< Human-readable explanation.
 };
 
-/// \brief True iff the checked verifier should run (after optimizer passes
-/// and on first execution of a plan). Controlled by DMML_VERIFY=0/1;
-/// defaults to on in debug builds, off under NDEBUG. Re-reads the
-/// environment on every call so tests can toggle it with setenv.
+/// \brief True iff the verifier should run (after optimizer passes and on
+/// first execution of a plan). Controlled by DMML_VERIFY=0/1; defaults to
+/// on unless NDEBUG is defined, and no build here defines it (see the file
+/// comment). Re-reads the environment on every call so tests can toggle it
+/// with setenv.
 bool VerifyEnabled();
 
 /// \brief True iff lint diagnostics should be collected (DMML_LINT=1,

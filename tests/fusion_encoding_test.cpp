@@ -7,7 +7,7 @@
 #include "data/generators.h"
 #include "la/kernels.h"
 #include "laopt/executor.h"
-#include "laopt/fusion.h"
+#include "laopt/optimizer.h"
 #include "ml/encoding.h"
 #include "ml/glm.h"
 #include "ml/metrics.h"
@@ -28,18 +28,21 @@ ExprPtr Leaf(const DenseMatrix& m, const char* name = "M") {
 // Fusion
 // --------------------------------------------------------------------------
 
-TEST(FusionTest, DetectsFusibleRegions) {
+TEST(FusionTest, OptimizeFusesChainsOfTwoOrMoreOps) {
   auto a = Leaf(DenseMatrix(3, 3), "A");
   auto b = Leaf(DenseMatrix(3, 3), "B");
   // Single op: not worth fusing.
-  EXPECT_FALSE(laopt::IsFusibleRegion(*ExprNode::Add(a, b)));
-  // Two chained elementwise ops: fusible.
+  EXPECT_EQ((*laopt::Optimize(*ExprNode::Add(a, b)))->kind(),
+            laopt::OpKind::kAdd);
+  // Two chained elementwise ops: one fused node.
   auto chain = *ExprNode::Add(*ExprNode::ScalarMul(2.0, a), b);
-  EXPECT_TRUE(laopt::IsFusibleRegion(chain));
-  // MatMul roots are never fusible regions.
+  auto fused_chain = *laopt::Optimize(chain);
+  EXPECT_EQ(fused_chain->kind(), laopt::OpKind::kFused);
+  EXPECT_EQ(fused_chain->NumFusedOps(), 2u);
+  // MatMul roots and leaves are never fused.
   auto mm = *ExprNode::MatMul(a, b);
-  EXPECT_FALSE(laopt::IsFusibleRegion(mm));
-  EXPECT_FALSE(laopt::IsFusibleRegion(a));
+  EXPECT_EQ((*laopt::Optimize(mm))->kind(), laopt::OpKind::kMatMul);
+  EXPECT_EQ((*laopt::Optimize(a))->kind(), laopt::OpKind::kInput);
 }
 
 TEST(FusionTest, FusedResultMatchesUnfused) {
@@ -50,40 +53,57 @@ TEST(FusionTest, FusedResultMatchesUnfused) {
   auto expr = *ExprNode::Subtract(
       *ExprNode::Add(*ExprNode::ScalarMul(2.0, a), *ExprNode::ElemMul(b, c)),
       *ExprNode::ScalarMul(0.5, b));
-  laopt::FusionStats stats;
-  auto fused = laopt::ExecuteWithFusion(expr, &stats);
+  laopt::OptimizerReport report;
+  auto plan = laopt::Optimize(expr, {}, &report);
+  ASSERT_TRUE(plan.ok());
+  auto fused = laopt::Execute(*plan);
   auto plain = laopt::Execute(expr);
   ASSERT_TRUE(fused.ok());
   ASSERT_TRUE(plain.ok());
-  EXPECT_TRUE(fused->ApproxEquals(*plain, 1e-12));
-  EXPECT_EQ(stats.regions_fused, 1u);
-  EXPECT_GE(stats.ops_fused, 4u);
+  EXPECT_TRUE(*fused == *plain);
+  EXPECT_EQ(report.regions_fused, 1u);
+  EXPECT_GE(report.ops_fused, 4u);
 }
 
 TEST(FusionTest, FusesAroundMatMulBoundaries) {
   auto x = Leaf(data::GaussianMatrix(30, 8, 4), "X");
   auto v = Leaf(data::GaussianMatrix(8, 1, 5), "v");
   auto y = Leaf(data::GaussianMatrix(30, 1, 6), "y");
-  // (X*v - y) .* (X*v - y) ... shares the matmul; fused region sits on top.
+  // (X*v - y) .* (X*v - y), each residual built on its own over one shared
+  // matmul: the fused region sits on top of it.
   auto mv = *ExprNode::MatMul(x, v);
-  auto residual = *ExprNode::Subtract(mv, y);
-  auto squared = *ExprNode::ElemMul(residual, residual);
-  laopt::FusionStats stats;
-  auto fused = laopt::ExecuteWithFusion(squared, &stats);
+  auto squared =
+      *ExprNode::ElemMul(*ExprNode::Subtract(mv, y), *ExprNode::Subtract(mv, y));
+  laopt::OptimizerReport report;
+  auto plan = laopt::Optimize(squared, {}, &report);
+  ASSERT_TRUE(plan.ok());
+  EXPECT_EQ(report.regions_fused, 1u);
+  ASSERT_EQ((*plan)->kind(), laopt::OpKind::kFused);
+  EXPECT_EQ((*plan)->NumFusedOps(), 3u);
+  // The matmul stays one node, read by two loads.
+  ASSERT_EQ((*plan)->children().size(), 2u);
+  EXPECT_EQ((*plan)->children()[0]->kind(), laopt::OpKind::kMatMul);
+  laopt::ExecStats stats;
+  auto fused = laopt::Execute(*plan, nullptr, &stats);
   auto plain = laopt::Execute(squared);
   ASSERT_TRUE(fused.ok());
-  EXPECT_TRUE(fused->ApproxEquals(*plain, 1e-12));
-  EXPECT_GE(stats.regions_fused, 1u);
+  EXPECT_EQ(stats.ops_executed, 2u);  // The matmul and the fused node.
+  EXPECT_TRUE(*fused == *plain);
 }
 
 TEST(FusionTest, AggregatesAndTransposesStillWork) {
   auto a = Leaf(data::GaussianMatrix(7, 5, 7), "A");
   auto expr = *ExprNode::Sum(
       *ExprNode::Add(*ExprNode::ScalarMul(3.0, a), *ExprNode::ElemMul(a, a)));
-  auto fused = laopt::ExecuteWithFusion(expr);
+  auto plan = laopt::Optimize(expr);
+  ASSERT_TRUE(plan.ok());
+  // The region feeds the aggregate.
+  EXPECT_EQ((*plan)->kind(), laopt::OpKind::kSum);
+  EXPECT_EQ((*plan)->children()[0]->kind(), laopt::OpKind::kFused);
+  auto fused = laopt::Execute(*plan);
   auto plain = laopt::Execute(expr);
   ASSERT_TRUE(fused.ok());
-  EXPECT_NEAR(fused->At(0, 0), plain->At(0, 0), 1e-9);
+  EXPECT_TRUE(*fused == *plain);
 }
 
 TEST(FusionTest, DuplicateLeafLoadsOnce) {
@@ -91,20 +111,15 @@ TEST(FusionTest, DuplicateLeafLoadsOnce) {
   auto a = *ExprNode::Input(am, "A");
   // a + a + a: one distinct input, three loads of the same slot.
   auto expr = *ExprNode::Add(*ExprNode::Add(a, a), a);
-  laopt::FusionStats stats;
-  auto fused = laopt::ExecuteWithFusion(expr, &stats);
+  auto plan = laopt::Optimize(expr);
+  ASSERT_TRUE(plan.ok());
+  EXPECT_EQ((*plan)->children().size(), 1u);
+  auto fused = laopt::Execute(*plan);
   ASSERT_TRUE(fused.ok());
   EXPECT_TRUE(fused->ApproxEquals(la::Scale(*am, 3.0), 1e-12));
 }
 
-TEST(FusionTest, NullAndNonRegionErrors) {
-  EXPECT_FALSE(laopt::ExecuteWithFusion(nullptr).ok());
-  auto a = Leaf(DenseMatrix(2, 2), "A");
-  EXPECT_FALSE(
-      laopt::ExecuteFused(a, [](const ExprPtr&) -> Result<DenseMatrix> {
-        return DenseMatrix(2, 2);
-      }).ok());
-}
+TEST(FusionTest, NullRejected) { EXPECT_FALSE(laopt::Optimize(nullptr).ok()); }
 
 // --------------------------------------------------------------------------
 // One-hot encoding

@@ -101,7 +101,9 @@ TEST(IntegrationTest, OptimizerPipelineComputesGramVector) {
       *laopt::ExprNode::Transpose(ex),
       *laopt::ExprNode::MatMul(
           ex, *laopt::ExprNode::MatMul(*laopt::ExprNode::Transpose(ex), ev)));
-  auto result = laopt::OptimizeAndExecute(expr);
+  auto optimized = laopt::Optimize(expr);
+  ASSERT_TRUE(optimized.ok());
+  auto result = laopt::Execute(*optimized);
   ASSERT_TRUE(result.ok());
   auto xt = la::Transpose(x);
   auto expected = la::Multiply(xt, la::Multiply(x, la::Multiply(xt, v)));

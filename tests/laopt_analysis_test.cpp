@@ -1,7 +1,8 @@
 // Tests for the laopt static analyzer: shape/sparsity/memory inference,
 // plan-time rejection of shape-mismatched programs, unknown-dimension
-// propagation, overflow-safe footprint math, and the two in-tree consumers
-// (matrix-chain costing, fusion memory guard) observed through obs counters.
+// propagation, overflow-safe footprint math, and the in-tree consumers
+// (matrix-chain costing, CompilePlan's analysis report) observed through obs
+// counters.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -12,12 +13,11 @@
 
 #include "data/generators.h"
 #include "laopt/analysis.h"
+#include "laopt/compile.h"
 #include "laopt/cse.h"
 #include "laopt/executor.h"
-#include "laopt/fusion.h"
 #include "laopt/optimizer.h"
 #include "laopt/parser.h"
-#include "laopt/pipeline.h"
 #include "obs/metrics.h"
 #include "util/thread_pool.h"
 
@@ -158,9 +158,9 @@ constexpr const char* kRidgeStep =
     "w - 0.00025 * (t(X) %*% X %*% w - t(X) %*% y) - 0.001 * w";
 
 // The optimizer analyzes the (t(X)·X)·w chain, replaces it with
-// t(X)·(X·w) and drops it; CSE then allocates fresh nodes. The analysis
-// holds every node it memoizes, so no fresh node can land on a dropped
-// node's address and inherit its 10x10 shape.
+// t(X)·(X·w) and drops it; fusion and CSE then allocate fresh nodes. The
+// analysis holds every node it memoizes, so no fresh node can land on a
+// dropped node's address and inherit its 10x10 shape.
 TEST(AnalysisTest, CompileSurvivesDroppedRewriteTemporaries) {
   Environment env;
   env["X"] = std::make_shared<DenseMatrix>(data::GaussianMatrix(2000, 10, 7));
@@ -177,10 +177,6 @@ TEST(AnalysisTest, CompileSurvivesDroppedRewriteTemporaries) {
   auto planned = Execute(*plan);
   ASSERT_TRUE(planned.ok()) << planned.status().message();
   EXPECT_TRUE(planned->ApproxEquals(*reference, 1e-12));
-
-  auto executed = CompileAndExecute(*expr, options);
-  ASSERT_TRUE(executed.ok()) << executed.status().message();
-  EXPECT_TRUE(executed->ApproxEquals(*reference, 1e-12));
 }
 
 TEST(AnalysisTest, RejectsMismatchedInnerDimensionsAtPlanTime) {
@@ -367,56 +363,23 @@ TEST(AnalysisTest, SparsityAwareChainCostPrefersSparseSide) {
   EXPECT_DOUBLE_EQ(OptimalChainCost({{10, 30}, {30, 5}, {5, 60}}), 4500.0 * 2.0);
 }
 
-TEST(AnalysisTest, FusionMemoryGuardDeclinesOverBudgetRegions) {
-  // 100x100 elementwise region: working set = 2 distinct inputs + output =
-  // 3 * 80000 bytes. A 100KB budget must decline it; 1MB must fuse it.
-  auto xm = std::make_shared<DenseMatrix>(data::GaussianMatrix(100, 100, 7));
-  auto ym = std::make_shared<DenseMatrix>(data::GaussianMatrix(100, 100, 8));
-  auto build = [&] {
-    auto x = Leaf(xm, "X");
-    auto y = Leaf(ym, "Y");
-    return *ExprNode::ScalarMul(2.0, *ExprNode::Add(*ExprNode::ElemMul(x, y), x));
-  };
-
-  const uint64_t declines_before = CounterValue("laopt.fusion.budget_declines");
-  FusionOptions tight;
-  tight.memory_budget_bytes = 100 * 1024;
-  FusionStats tight_stats;
-  auto declined = ExecuteWithFusion(build(), tight, &tight_stats);
-  ASSERT_TRUE(declined.ok());
-  EXPECT_EQ(tight_stats.regions_fused, 0u);
-  EXPECT_GE(tight_stats.regions_declined, 1u);
-  EXPECT_GT(CounterValue("laopt.fusion.budget_declines"), declines_before);
-
-  FusionOptions roomy;
-  roomy.memory_budget_bytes = 1024 * 1024;
-  FusionStats roomy_stats;
-  auto fused = ExecuteWithFusion(build(), roomy, &roomy_stats);
-  ASSERT_TRUE(fused.ok());
-  EXPECT_GE(roomy_stats.regions_fused, 1u);
-  EXPECT_EQ(roomy_stats.regions_declined, 0u);
-
-  // Declining fusion must not change the result.
-  EXPECT_TRUE(declined->ApproxEquals(*fused, 1e-12));
-}
-
-TEST(AnalysisTest, PipelineWiresGuardAndReportsAnalysis) {
+TEST(AnalysisTest, PipelineReportsAnalysisOfTheFusedPlan) {
   auto xm = std::make_shared<DenseMatrix>(data::GaussianMatrix(50, 40, 3));
   auto x1 = Leaf(xm, "X");
   auto x2 = Leaf(xm, "X");
   auto expr = *ExprNode::Add(*ExprNode::ElemMul(x1, x2), x1);
 
-  PipelineOptions options;
-  options.fusion.memory_budget_bytes = 1;  // Decline everything.
   PlanReport report;
-  auto result = CompileAndExecute(expr, options, &report);
-  ASSERT_TRUE(result.ok());
-  EXPECT_GE(report.fusion.regions_declined, 1u);
-  EXPECT_EQ(report.fusion.regions_fused, 0u);
+  auto plan = CompilePlan(expr, {}, &report);
+  ASSERT_TRUE(plan.ok());
+  EXPECT_EQ(report.rewriter.regions_fused, 1u);
+  EXPECT_EQ((*plan)->kind(), OpKind::kFused);
   EXPECT_GT(report.analysis_nodes, 0u);
   EXPECT_TRUE(report.output_bytes_known);
   EXPECT_EQ(report.output_est_bytes, 50u * 40u * sizeof(double));
 
+  auto result = Execute(*plan);
+  ASSERT_TRUE(result.ok());
   auto naive = Execute(expr);
   ASSERT_TRUE(naive.ok());
   EXPECT_TRUE(result->ApproxEquals(*naive, 1e-12));
@@ -449,8 +412,13 @@ TEST(AnalysisTest, UnboundPlaceholderFailsExecutionGracefully) {
   auto direct = Execute(expr);
   ASSERT_FALSE(direct.ok());
   EXPECT_NE(direct.status().message().find("theta"), std::string::npos);
-  auto fused = ExecuteWithFusion(expr);
-  ASSERT_FALSE(fused.ok());
+  // Fused into one node, the placeholder still fails by name.
+  auto fused = Optimize(*ExprNode::ScalarMul(2.0, expr));
+  ASSERT_TRUE(fused.ok());
+  ASSERT_EQ((*fused)->kind(), OpKind::kFused);
+  auto fused_run = Execute(*fused);
+  ASSERT_FALSE(fused_run.ok());
+  EXPECT_NE(fused_run.status().message().find("theta"), std::string::npos);
 }
 
 }  // namespace

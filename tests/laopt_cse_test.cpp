@@ -1,10 +1,12 @@
 // Tests for structural common-subexpression elimination on LA DAGs.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
 
 #include "data/generators.h"
 #include "la/kernels.h"
+#include "laopt/compile.h"
 #include "laopt/cse.h"
 #include "laopt/executor.h"
 #include "laopt/optimizer.h"
@@ -16,6 +18,11 @@ using la::DenseMatrix;
 
 ExprPtr Leaf(std::shared_ptr<DenseMatrix> m, const char* name) {
   return *ExprNode::Input(std::move(m), name);
+}
+
+bool BitEqual(const DenseMatrix& a, const DenseMatrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
 }
 
 TEST(CseTest, MergesStructurallyEqualSubtrees) {
@@ -65,6 +72,45 @@ TEST(CseTest, ScalarValueDistinguishesNodes) {
   EXPECT_EQ((*optimized)->children()[0]->scalar(), 2.0);
   EXPECT_EQ((*optimized)->children()[1]->scalar(), 3.0);
   EXPECT_TRUE((*Execute(*optimized)).ApproxEquals(*Execute(expr), 1e-12));
+}
+
+// Scalars that agree to six significant digits are still different scalars:
+// the structural key CSE and the verifier share carries a scalar's bits.
+TEST(CseTest, NearlyEqualScalarsStayDistinct) {
+  auto xm = std::make_shared<DenseMatrix>(data::GaussianMatrix(4, 4, 8));
+  auto ym = std::make_shared<DenseMatrix>(data::GaussianMatrix(4, 4, 9));
+  auto x = Leaf(xm, "X");
+  auto expr = *ExprNode::Add(*ExprNode::ScalarMul(0.1234567, x),
+                             *ExprNode::ScalarMul(0.1234568, x));
+  auto raw = Execute(expr);
+  ASSERT_TRUE(raw.ok());
+
+  CseReport report;
+  auto deduped = EliminateCommonSubexpressions(expr, &report);
+  ASSERT_TRUE(deduped.ok()) << deduped.status().message();
+  EXPECT_EQ(report.merges, 0u);
+  EXPECT_EQ((*deduped)->children()[0]->scalar(), 0.1234567);
+  EXPECT_EQ((*deduped)->children()[1]->scalar(), 0.1234568);
+  EXPECT_TRUE(BitEqual(*Execute(*deduped), *raw));
+
+  // The whole pipeline: fusion folds both scalars into one program, CSE runs
+  // after it, and the verifier checks CSE's value classes.
+  auto plan = CompilePlan(expr);
+  ASSERT_TRUE(plan.ok()) << plan.status().message();
+  EXPECT_TRUE(BitEqual(*Execute(*plan), *raw));
+
+  // Two fused regions that differ only in that scalar stay two nodes.
+  auto y = Leaf(ym, "Y");
+  auto product = *ExprNode::MatMul(
+      *ExprNode::Add(*ExprNode::ScalarMul(0.1234567, x), y),
+      *ExprNode::Transpose(*ExprNode::Add(*ExprNode::ScalarMul(0.1234568, x), y)));
+  PlanReport plan_report;
+  auto fused_plan = CompilePlan(product, {}, &plan_report);
+  ASSERT_TRUE(fused_plan.ok()) << fused_plan.status().message();
+  EXPECT_EQ(plan_report.rewriter.regions_fused, 2u);
+  EXPECT_EQ(plan_report.cse.merges, 0u);
+  EXPECT_EQ(plan_report.cse.nodes_after, plan_report.cse.nodes_before);
+  EXPECT_TRUE(BitEqual(*Execute(*fused_plan), *Execute(product)));
 }
 
 TEST(CseTest, IdempotentOnAlreadySharedDag) {

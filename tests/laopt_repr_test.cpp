@@ -540,8 +540,8 @@ TEST(BufferedExecutorBindTest, BindValidatesLeafAndShape) {
 }
 
 TEST(ParserPoolRegressionTest, EvalExpressionRunsKernelsOnCallersPool) {
-  // Regression: EvalExpression used to call OptimizeAndExecute without the
-  // pool, silently serializing every parsed program. A pooled Gram over
+  // Regression: EvalExpression used to execute the optimized plan without
+  // the pool, silently serializing every parsed program. A pooled Gram over
   // enough rows must go through the parallel partial-reduction path.
   auto x = std::make_shared<DenseMatrix>(data::GaussianMatrix(4096, 8, 31));
   Environment env = {{"X", x}};

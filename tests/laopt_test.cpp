@@ -168,12 +168,14 @@ TEST(OptimizerTest, PassesCanBeDisabled) {
   EXPECT_EQ((*optimized)->kind(), OpKind::kTranspose);
 }
 
-TEST(OptimizerTest, OptimizeAndExecuteConvenience) {
+TEST(OptimizerTest, OptimizeThenExecute) {
   auto x = Leaf(data::GaussianMatrix(10, 3, 12), "X");
   auto v = Leaf(data::GaussianMatrix(10, 1, 13), "v");
   auto expr =
       *ExprNode::MatMul(*ExprNode::Transpose(x), v);  // t(X)*v : 3x1 result.
-  auto result = OptimizeAndExecute(expr);
+  auto optimized = Optimize(expr);
+  ASSERT_TRUE(optimized.ok());
+  auto result = Execute(*optimized);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->rows(), 3u);
 }

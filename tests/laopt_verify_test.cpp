@@ -25,12 +25,12 @@
 #include "data/generators.h"
 #include "la/kernels.h"
 #include "laopt/analysis.h"
+#include "laopt/compile.h"
 #include "laopt/cse.h"
 #include "laopt/executor.h"
 #include "laopt/expr.h"
 #include "laopt/optimizer.h"
 #include "laopt/parser.h"
-#include "laopt/pipeline.h"
 #include "laopt/verify.h"
 #include "ml/unified_trainers.h"
 #include "obs/metrics.h"
