@@ -222,8 +222,10 @@ int main(int argc, char** argv) {
   rung_table.EmitCsv("E6b_shared_scan");
   json.Emit("modelsel");
 
-  // Multi-fold rung: the wide plan's per-fold branches must be overlapped by
-  // the inter-node scheduler (several score roots ready at once).
+  // Multi-fold rung: the wide plans' per-fold branches must be overlapped by
+  // the inter-node scheduler (several roots ready at once). At 4 folds and
+  // 8 epochs the rung takes the statistics route, whose Gram pass runs 8
+  // roots and each epoch one G·W root per fold.
   {
     const size_t fold_rows = rn / 4;
     std::vector<modelsel::FoldRange> folds;

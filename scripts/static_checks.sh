@@ -41,11 +41,15 @@
 #     run under both sanitizers, plain and with DMML_INTER_NODE=1, and so
 #     does laopt_fusion_test (fused elementwise nodes: the cell-program
 #     kernel split across the pool, bit-equal to the unfused plan under
-#     every binding and scheduling mode).
-#  4. A plan-verifier gate: every laopt test binary (pipeline_test and
-#     laopt_fusion_test included, so the fusion step runs under it) plus the
-#     laopt benches re-run in the Release build with DMML_VERIFY=1
-#     DMML_LINT=1. The verifier is on by default in every build (the
+#     every binding and scheduling mode), and so do cla_parallel_parity_test
+#     (the CLA windowed Gram among the pooled compressed ops), parser_test
+#     and laopt_profile_test.
+#  4. A plan-verifier gate: every laopt test binary (pipeline_test,
+#     laopt_fusion_test and parser_test included, so the fusion step and the
+#     parser's leaves run under it), the batch-GD engine's and windowed
+#     Grams' suites (modelsel_shared_test, la_kernels_parity_test,
+#     cla_parallel_parity_test, factorized_test) plus the laopt benches
+#     re-run in the Release build with DMML_VERIFY=1 DMML_LINT=1. The verifier is on by default in every build (the
 #     Release flags are -O2 without NDEBUG); setting it here keeps the gate
 #     on if that default ever changes, and DMML_LINT=1 adds the lint rules.
 #     Any diagnostic of severity error fails the plan and hence the binary.
@@ -213,7 +217,9 @@ fi
 # ---------------------------------------------------------------------------
 verifier_tests="laopt_test laopt_cse_test laopt_analysis_test \
 laopt_aggregates_test laopt_repr_test laopt_profile_test laopt_verify_test \
-laopt_sched_test pipeline_test laopt_fusion_test"
+laopt_sched_test pipeline_test laopt_fusion_test parser_test \
+modelsel_shared_test la_kernels_parity_test cla_parallel_parity_test \
+factorized_test"
 echo "static_checks: verifier gate — laopt tests + benches with DMML_VERIFY=1 DMML_LINT=1..."
 # shellcheck disable=SC2086
 if cmake --build "$smoke_dir" --target $verifier_tests -j "$(nproc)" >/dev/null; then
@@ -265,13 +271,14 @@ fi
 # ---------------------------------------------------------------------------
 run_sanitized_repr_gate() {
   local san="$1" dir="$2"
-  echo "static_checks: building laopt_repr_test + laopt_verify_test + laopt_sched_test + laopt_analysis_test + modelsel_shared_test + modelsel_test + factorized_test + la_kernels_parity_test + laopt_fusion_test + pipeline_frontend_test (DMML_SANITIZE=$san) in $dir..."
+  echo "static_checks: building laopt_repr_test + laopt_verify_test + laopt_sched_test + laopt_analysis_test + modelsel_shared_test + modelsel_test + factorized_test + la_kernels_parity_test + laopt_fusion_test + cla_parallel_parity_test + parser_test + laopt_profile_test + pipeline_frontend_test (DMML_SANITIZE=$san) in $dir..."
   if cmake -B "$dir" -S "$repo_root" -DDMML_SANITIZE="$san" >/dev/null \
       && cmake --build "$dir" --target laopt_repr_test --target laopt_verify_test \
            --target laopt_sched_test --target laopt_analysis_test \
            --target modelsel_shared_test --target modelsel_test \
            --target factorized_test --target la_kernels_parity_test \
-           --target laopt_fusion_test \
+           --target laopt_fusion_test --target cla_parallel_parity_test \
+           --target parser_test --target laopt_profile_test \
            --target pipeline_frontend_test -j "$(nproc)" >/dev/null; then
     if "$dir/tests/laopt_repr_test" >/dev/null \
         && DMML_INTER_NODE=1 "$dir/tests/laopt_repr_test" >/dev/null; then
@@ -320,7 +327,11 @@ run_sanitized_repr_gate() {
     # residual kernel runs every epoch's middle, and fused elementwise nodes
     # run the cell-program kernel on the pool: the model-selection,
     # factorized, kernel and fused-node suites run plain and inter-node too.
-    for t in modelsel_test factorized_test la_kernels_parity_test laopt_fusion_test; do
+    # So do the windowed Grams the statistics route's pass runs (dense, CSR,
+    # CLA and factorized, serial and pooled), the parser's one leaf per
+    # name, and the profiler over both batch-GD routes.
+    for t in modelsel_test factorized_test la_kernels_parity_test laopt_fusion_test \
+        cla_parallel_parity_test parser_test laopt_profile_test; do
       if "$dir/tests/$t" >/dev/null \
           && DMML_INTER_NODE=1 "$dir/tests/$t" >/dev/null; then
         echo "static_checks: $t clean under $san"

@@ -11,6 +11,7 @@
 #include "cla/ole_group.h"
 #include "cla/rle_group.h"
 #include "cla/uncompressed_group.h"
+#include "la/kernels.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/logging.h"
@@ -513,6 +514,52 @@ Status CompressedMatrix::TransposeMultiplyMatrixRangeInto(const DenseMatrix& m,
   }
   DMML_COUNTER_INC("cla.ops.partial_reductions");
   CountRangedCalls(chunks, groups_.size());
+  return Status::OK();
+}
+
+Status CompressedMatrix::GramRangeInto(size_t row_begin, size_t row_end,
+                                       DenseMatrix* out, ThreadPool* pool) const {
+  if (row_begin > row_end || row_end > rows_) {
+    return Status::InvalidArgument("GramRange: bad row window");
+  }
+  const size_t range = row_end - row_begin, d = cols_;
+  EnsureClaOut(out, d, d);
+  double* y = out->data();
+  // Accumulates window rows [begin, end) into a zeroed upper triangle one
+  // row block at a time: every group decompresses the block into this
+  // thread's scratch, then the dense SYRK accumulator adds its rows.
+  auto accumulate = [&](size_t begin, size_t end, double* g) {
+    thread_local DenseMatrix block;
+    std::fill(g, g + d * d, 0.0);
+    for (size_t b = begin; b < end; b += kMatrixRowBlock) {
+      const size_t e = std::min(end, b + kMatrixRowBlock);
+      block.Reshape(e - b, d);
+      block.Fill(0.0);  // Zero-suppressed encodings scatter nonzeros only.
+      for (const auto& grp : groups_) {
+        grp->DecompressRange(&block, row_begin + b, row_begin + e, row_begin + b);
+      }
+      la::AccumulateGramUpper(block, 0, e - b, g);
+    }
+  };
+  const size_t chunks = ParallelChunkCount(pool, range, kRowGrain);
+  if (chunks <= 1) {
+    accumulate(0, range, y);
+  } else {
+    // Per-chunk private (d x d) partials, reduced serially — no atomics.
+    double* partials = PartialBuffer(chunks * d * d);
+    ParallelForChunks(pool, range, kRowGrain,
+                      [&](size_t chunk, size_t begin, size_t end) {
+      accumulate(begin, end, partials + chunk * d * d);
+    });
+    std::fill(y, y + d * d, 0.0);
+    for (size_t c = 0; c < chunks; ++c) {
+      const double* p = partials + c * d * d;
+      for (size_t j = 0; j < d * d; ++j) y[j] += p[j];
+    }
+    DMML_COUNTER_INC("cla.ops.partial_reductions");
+    CountRangedCalls(chunks, groups_.size());
+  }
+  la::MirrorUpperTriangle(out);
   return Status::OK();
 }
 

@@ -125,6 +125,14 @@ class CompressedMatrix {
                                           la::DenseMatrix* out,
                                           ThreadPool* pool = nullptr) const;
 
+  /// \brief out = X[row_begin:row_end)ᵀ X[row_begin:row_end); out becomes
+  /// (cols x cols). Each chunk of rows decompresses 256-row blocks into
+  /// per-thread scratch and adds their upper triangle with the dense SYRK
+  /// accumulator (la::AccumulateGramUpper); per-chunk partials reduce as in
+  /// TransposeMultiplyMatrixRangeInto. No window-sized dense copy is made.
+  Status GramRangeInto(size_t row_begin, size_t row_end, la::DenseMatrix* out,
+                       ThreadPool* pool = nullptr) const;
+
   /// \brief Reconstructs rows [row_begin, row_end) as a window-relative
   /// ((row_end-row_begin) x cols) dense matrix.
   Status DecompressRangeInto(size_t row_begin, size_t row_end,

@@ -7,14 +7,21 @@
 #include "la/ops.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "util/logging.h"
 
 namespace dmml::factorized {
 
 using la::DenseMatrix;
 
 DenseMatrix FactorizedGramian(const NormalizedMatrix& t) {
+  return FactorizedGramian(t, 0, t.rows());
+}
+
+DenseMatrix FactorizedGramian(const NormalizedMatrix& t, size_t row_begin,
+                              size_t row_end) {
+  DMML_CHECK(row_begin <= row_end && row_end <= t.rows());
   DMML_TRACE_SPAN("factorized.gramian");
-  const size_t n = t.rows();
+  const size_t n = row_end - row_begin;
   const auto& entity = t.entity_features();
   const size_t ds = entity.cols();
   const auto& tables = t.tables();
@@ -31,9 +38,10 @@ DenseMatrix FactorizedGramian(const NormalizedMatrix& t) {
     }
   }
 
-  // Block XSᵀXS via the blocked SYRK kernel.
+  // Block XS[b:e)ᵀXS[b:e) via the windowed SYRK kernel.
   if (ds > 0) {
-    DenseMatrix gs = la::Gram(entity);
+    DenseMatrix gs;
+    la::GramRangeInto(entity, row_begin, row_end, &gs);
     for (size_t a = 0; a < ds; ++a) {
       std::copy(gs.Row(a), gs.Row(a) + ds, g.Row(a));
     }
@@ -45,15 +53,16 @@ DenseMatrix FactorizedGramian(const NormalizedMatrix& t) {
     const size_t dr = tab.features.cols();
     const size_t off = offsets[ti];
 
-    // fk histogram: counts[r] = |{i : fk[i] = r}| (this is KᵀK's diagonal).
+    // fk histogram over the window: counts[r] = |{i : fk[i] = r}| (KᵀK's
+    // diagonal).
     std::vector<double> counts(nr, 0.0);
-    for (size_t i = 0; i < n; ++i) counts[tab.fk[i]] += 1.0;
+    for (size_t i = row_begin; i < row_end; ++i) counts[tab.fk[i]] += 1.0;
 
     // Block XSᵀ(K R): group-accumulate XS rows by fk (nR x dS), then fold
     // against XR.
     if (ds > 0) {
       DenseMatrix grouped(nr, ds);
-      for (size_t i = 0; i < n; ++i) {
+      for (size_t i = row_begin; i < row_end; ++i) {
         la::Axpy(1.0, entity.Row(i), grouped.Row(tab.fk[i]), ds);
       }
       for (size_t r = 0; r < nr; ++r) {
@@ -85,7 +94,7 @@ DenseMatrix FactorizedGramian(const NormalizedMatrix& t) {
       const size_t sdr = stab.features.cols();
       std::unordered_map<uint64_t, double> cooc;
       cooc.reserve(n);
-      for (size_t i = 0; i < n; ++i) {
+      for (size_t i = row_begin; i < row_end; ++i) {
         uint64_t key = (static_cast<uint64_t>(stab.fk[i]) << 32) | tab.fk[i];
         cooc[key] += 1.0;
       }
@@ -103,10 +112,7 @@ DenseMatrix FactorizedGramian(const NormalizedMatrix& t) {
     }
   }
 
-  // Mirror the upper blocks into the lower triangle.
-  for (size_t a = 0; a < d; ++a) {
-    for (size_t b = a + 1; b < d; ++b) g.At(b, a) = g.At(a, b);
-  }
+  la::MirrorUpperTriangle(&g);
 
   // Materialized TᵀT is 2·n·d²; the factorized blocks touch each attribute
   // row once, so the gap is the redundancy the rewrite avoided.

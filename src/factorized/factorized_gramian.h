@@ -24,8 +24,15 @@
 
 namespace dmml::factorized {
 
-/// \brief Computes TᵀT (d x d) without materializing T.
+/// \brief Computes TᵀT (d x d) without materializing T: the [0, rows)
+/// window of the ranged form below.
 la::DenseMatrix FactorizedGramian(const NormalizedMatrix& t);
+
+/// \brief T[b:e)ᵀT[b:e) (d x d) over a window of fact rows: XS's block runs
+/// la::GramRangeInto over the window, and the fk histograms, grouped sums
+/// and cross-table co-occurrence counts cover fact rows [b, e) only.
+la::DenseMatrix FactorizedGramian(const NormalizedMatrix& t, size_t row_begin,
+                                  size_t row_end);
 
 /// \brief Computes Tᵀ1 (column sums as d x 1) without materializing T.
 la::DenseMatrix FactorizedColumnSums(const NormalizedMatrix& t);

@@ -19,8 +19,10 @@ Result<la::DenseMatrix> NormalizedOperand::TransposeMultiply(
   return m_->TransposeMultiply(m, row_begin, row_end);
 }
 
-Result<la::DenseMatrix> NormalizedOperand::Gram(ThreadPool* /*pool*/) const {
-  return FactorizedGramian(*m_);
+Result<la::DenseMatrix> NormalizedOperand::Gram(size_t row_begin,
+                                                size_t row_end,
+                                                ThreadPool* /*pool*/) const {
+  return FactorizedGramian(*m_, row_begin, row_end);
 }
 
 Result<la::DenseMatrix> NormalizedOperand::RowSquaredNorms(

@@ -40,8 +40,10 @@ class NormalizedOperand : public laopt::LinearOperator {
   Result<la::DenseMatrix> TransposeMultiply(const la::DenseMatrix& m,
                                             size_t row_begin, size_t row_end,
                                             ThreadPool* pool) const override;
-  /// TᵀT — the Orion cofactor block decomposition.
-  Result<la::DenseMatrix> Gram(ThreadPool* pool) const override;
+  /// T[b:e)ᵀT[b:e) — the Orion cofactor block decomposition over the
+  /// window's fact rows.
+  Result<la::DenseMatrix> Gram(size_t row_begin, size_t row_end,
+                               ThreadPool* pool) const override;
   /// rowSums(T⊙T) computed factorized (k-means distance expansion).
   Result<la::DenseMatrix> RowSquaredNorms(ThreadPool* pool) const override;
   /// colSums(T) as 1 x d via the per-table block sums.

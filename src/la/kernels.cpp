@@ -214,37 +214,6 @@ void BlockedGemm(size_t m, size_t n, size_t kdim, const double* a, size_t lda,
 // Rank-update accumulators (Gram / TransposeMultiply / Gevm / ColumnSums)
 // ---------------------------------------------------------------------------
 
-// Upper triangle of Xᵀ X over rows [rbegin, rend), accumulated into the
-// d x d row-major buffer g. Rows are consumed four at a time so each loaded
-// g-line amortizes four fused multiply-adds.
-void AccumulateGramUpper(const DenseMatrix& x, size_t rbegin, size_t rend,
-                         double* g) {
-  const size_t d = x.cols();
-  size_t i = rbegin;
-  for (; i + 4 <= rend; i += 4) {
-    const double* r0 = x.Row(i);
-    const double* r1 = x.Row(i + 1);
-    const double* r2 = x.Row(i + 2);
-    const double* r3 = x.Row(i + 3);
-    for (size_t a = 0; a < d; ++a) {
-      const double v0 = r0[a], v1 = r1[a], v2 = r2[a], v3 = r3[a];
-      if (v0 == 0.0 && v1 == 0.0 && v2 == 0.0 && v3 == 0.0) continue;
-      double* grow = g + a * d;
-      for (size_t bcol = a; bcol < d; ++bcol) {
-        grow[bcol] += v0 * r0[bcol] + v1 * r1[bcol] + v2 * r2[bcol] + v3 * r3[bcol];
-      }
-    }
-  }
-  for (; i < rend; ++i) {
-    const double* row = x.Row(i);
-    for (size_t a = 0; a < d; ++a) {
-      const double v = row[a];
-      if (v == 0.0) continue;
-      Axpy(v, row + a, g + a * d + a, d - a);
-    }
-  }
-}
-
 // out (d x k, row-major, pre-zeroed) += X[x_offset + i]ᵀ M[i] over window
 // rows i in [rbegin, rend), with the same 4-row bundling as the Gramian
 // accumulator. `x_offset == 0` with a full range is the classic XᵀM.
@@ -332,6 +301,43 @@ void ReduceRows(ThreadPool* pool, size_t rows, size_t grain, size_t width,
 
 }  // namespace
 
+// Rows are consumed four at a time so each loaded g-line amortizes four
+// fused multiply-adds.
+void AccumulateGramUpper(const DenseMatrix& x, size_t rbegin, size_t rend,
+                         double* g) {
+  const size_t d = x.cols();
+  size_t i = rbegin;
+  for (; i + 4 <= rend; i += 4) {
+    const double* r0 = x.Row(i);
+    const double* r1 = x.Row(i + 1);
+    const double* r2 = x.Row(i + 2);
+    const double* r3 = x.Row(i + 3);
+    for (size_t a = 0; a < d; ++a) {
+      const double v0 = r0[a], v1 = r1[a], v2 = r2[a], v3 = r3[a];
+      if (v0 == 0.0 && v1 == 0.0 && v2 == 0.0 && v3 == 0.0) continue;
+      double* grow = g + a * d;
+      for (size_t bcol = a; bcol < d; ++bcol) {
+        grow[bcol] += v0 * r0[bcol] + v1 * r1[bcol] + v2 * r2[bcol] + v3 * r3[bcol];
+      }
+    }
+  }
+  for (; i < rend; ++i) {
+    const double* row = x.Row(i);
+    for (size_t a = 0; a < d; ++a) {
+      const double v = row[a];
+      if (v == 0.0) continue;
+      Axpy(v, row + a, g + a * d + a, d - a);
+    }
+  }
+}
+
+void MirrorUpperTriangle(DenseMatrix* g) {
+  const size_t d = g->rows();
+  for (size_t a = 0; a < d; ++a) {
+    for (size_t b = a + 1; b < d; ++b) g->At(b, a) = g->At(a, b);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Dense kernels
 // ---------------------------------------------------------------------------
@@ -406,18 +412,7 @@ DenseMatrix MultiplyTransposeB(const DenseMatrix& a, const DenseMatrix& b,
 }
 
 void GramInto(const DenseMatrix& x, DenseMatrix* out, ThreadPool* pool) {
-  DMML_CHECK(out != &x);
-  const size_t n = x.rows(), d = x.cols();
-  EnsureOut(out, d, d);
-  out->Fill(0.0);
-  DMML_COUNTER_INC("la.gram.calls");
-  ReduceRows(pool, n, GrainFor(d * d), d * d, out->data(),
-             [&x](size_t begin, size_t end, double* g) {
-               AccumulateGramUpper(x, begin, end, g);
-             });
-  for (size_t a = 0; a < d; ++a) {
-    for (size_t b = a + 1; b < d; ++b) out->At(b, a) = out->At(a, b);
-  }
+  GramRangeInto(x, 0, x.rows(), out, pool);
 }
 
 DenseMatrix Gram(const DenseMatrix& x, ThreadPool* pool) {
@@ -486,6 +481,21 @@ void TransposeMultiplyRangeInto(const DenseMatrix& x, size_t row_begin,
              [&x, &m, row_begin](size_t begin, size_t end, double* g) {
                AccumulateTransposeMultiply(x, row_begin, m, begin, end, g);
              });
+}
+
+void GramRangeInto(const DenseMatrix& x, size_t row_begin, size_t row_end,
+                   DenseMatrix* out, ThreadPool* pool) {
+  DMML_CHECK(row_begin <= row_end && row_end <= x.rows());
+  DMML_CHECK(out != &x);
+  const size_t d = x.cols();
+  EnsureOut(out, d, d);
+  out->Fill(0.0);
+  DMML_COUNTER_INC("la.gram.calls");
+  ReduceRows(pool, row_end - row_begin, GrainFor(d * d), d * d, out->data(),
+             [&x, row_begin](size_t begin, size_t end, double* g) {
+               AccumulateGramUpper(x, row_begin + begin, row_begin + end, g);
+             });
+  MirrorUpperTriangle(out);
 }
 
 void GemvInto(const DenseMatrix& a, const DenseMatrix& x, DenseMatrix* out,
@@ -874,6 +884,33 @@ void SparseTransposeMultiplyRangeInto(const SparseMatrix& a, size_t row_begin,
                  }
                }
              });
+}
+
+void SparseGramRangeInto(const SparseMatrix& s, size_t row_begin,
+                         size_t row_end, DenseMatrix* out, ThreadPool* pool) {
+  DMML_CHECK(row_begin <= row_end && row_end <= s.rows());
+  const size_t d = s.cols();
+  EnsureOut(out, d, d);
+  out->Fill(0.0);
+  DMML_COUNTER_INC("la.gram.calls");
+  // A row with m nonzeros adds m(m+1)/2 products to the upper triangle.
+  const size_t avg = s.rows() ? s.nnz() / s.rows() + 1 : 1;
+  ReduceRows(pool, row_end - row_begin, GrainFor(avg * avg), d * d, out->data(),
+             [&s, row_begin, d](size_t begin, size_t end, double* g) {
+               const uint32_t* cols = s.col_idx().data();
+               const double* vals = s.values().data();
+               for (size_t i = row_begin + begin; i < row_begin + end; ++i) {
+                 const size_t stop = s.RowEnd(i);
+                 // Column indices increase within a row, so (p, q ≥ p) lands
+                 // on or above the diagonal.
+                 for (size_t p = s.RowBegin(i); p < stop; ++p) {
+                   double* grow = g + cols[p] * d;
+                   const double v = vals[p];
+                   for (size_t q = p; q < stop; ++q) grow[cols[q]] += v * vals[q];
+                 }
+               }
+             });
+  MirrorUpperTriangle(out);
 }
 
 double SparseSum(const SparseMatrix& a) {

@@ -190,6 +190,21 @@ void TransposeMultiplyRangeInto(const DenseMatrix& x, size_t row_begin,
                                 size_t row_end, const DenseMatrix& m,
                                 DenseMatrix* out, ThreadPool* pool = nullptr);
 
+/// \brief out = X[row_begin:row_end)ᵀ X[row_begin:row_end) (d x d): the SYRK
+/// accumulator over a window of rows, reduced from per-chunk partials whose
+/// grain depends on d only. GramInto is its [0, rows) window.
+void GramRangeInto(const DenseMatrix& x, size_t row_begin, size_t row_end,
+                   DenseMatrix* out, ThreadPool* pool = nullptr);
+
+/// \brief The SYRK building block behind every Gram kernel: adds the upper
+/// triangle of X[rbegin:rend)ᵀ X[rbegin:rend) into the d x d row-major
+/// buffer `g`, four rows per bundle, skipping all-zero bundle columns.
+void AccumulateGramUpper(const DenseMatrix& x, size_t rbegin, size_t rend,
+                         double* g);
+
+/// \brief Copies the upper triangle of the square `g` onto its lower one.
+void MirrorUpperTriangle(DenseMatrix* g);
+
 // ---------------------------------------------------------------------------
 // Sparse kernels
 // ---------------------------------------------------------------------------
@@ -259,6 +274,14 @@ void SparseTransposeMultiplyRangeInto(const SparseMatrix& a, size_t row_begin,
                                       size_t row_end, const DenseMatrix& m,
                                       DenseMatrix* out,
                                       ThreadPool* pool = nullptr);
+
+/// \brief out = S[row_begin:row_end)ᵀ S[row_begin:row_end) (cols x cols) for
+/// CSR S: each row adds the upper-triangle products of its nonzeros into a
+/// per-chunk partial, and the reduced triangle is mirrored at the end.
+/// O(Σ_rows nnz_r²) — no densified window.
+void SparseGramRangeInto(const SparseMatrix& s, size_t row_begin,
+                         size_t row_end, DenseMatrix* out,
+                         ThreadPool* pool = nullptr);
 
 // ---------------------------------------------------------------------------
 // GLM residuals and loss

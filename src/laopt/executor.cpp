@@ -829,14 +829,36 @@ Result<BufferedExecutor::Value> BufferedExecutor::EvalMatMul(
   if (lc->kind() == OpKind::kTranspose) {
     const ExprPtr& u = lc->children()[0];
     DMML_ASSIGN_OR_RETURN(Value uv, Eval(u));
-    if (uv.repr == Repr::kDense) {
-      if (rc.get() == u.get() && !uv.windowed) {
-        // t(U) %*% U — the SYRK/Gram kernel, exactly as la::Gram computes it.
-        if (profile_ != nullptr) profile_->AddFusedUse(lc.get());
-        la::GramInto(*uv.d, slot.buf, pool_);
-        CountDispatch(slot, Repr::kDense);
-        return Value{Repr::kDense, slot.buf, nullptr, nullptr};
+    if (rc.get() == u.get()) {
+      // t(U) %*% U — the binding's own Gram over U's window (every row when
+      // U is not sliced): the dense SYRK, the CSR row-pair products, CLA's
+      // blockwise decompress + SYRK, or the factorized cofactor blocks. No
+      // binding densifies U.
+      if (profile_ != nullptr) profile_->AddFusedUse(lc.get());
+      switch (uv.repr) {
+        case Repr::kDense:
+          la::GramRangeInto(*uv.d, uv.windowed ? uv.win_begin : 0,
+                            uv.windowed ? uv.win_end : uv.d->rows(), slot.buf,
+                            pool_);
+          break;
+        case Repr::kSparse:
+          la::SparseGramRangeInto(*uv.s, uv.windowed ? uv.win_begin : 0,
+                                  uv.windowed ? uv.win_end : uv.s->rows(),
+                                  slot.buf, pool_);
+          break;
+        case Repr::kCompressed:
+          DMML_RETURN_IF_ERROR(
+              uv.c->GramRangeInto(uv.win_begin, uv.win_end, slot.buf, pool_));
+          break;
+        case Repr::kFactorized:
+          DMML_ASSIGN_OR_RETURN(*slot.buf,
+                                uv.lo->Gram(uv.win_begin, uv.win_end, pool_));
+          break;
       }
+      CountDispatch(slot, uv.repr);
+      return Value{Repr::kDense, slot.buf, nullptr, nullptr};
+    }
+    if (uv.repr == Repr::kDense) {
       DMML_ASSIGN_OR_RETURN(Value vv, Eval(rc));
       DMML_ASSIGN_OR_RETURN(const DenseMatrix* vd, Densify(rc, vv));
       if (profile_ != nullptr) profile_->AddFusedUse(lc.get());
@@ -864,16 +886,6 @@ Result<BufferedExecutor::Value> BufferedExecutor::EvalMatMul(
       return Value{Repr::kDense, slot.buf, nullptr, nullptr};
     }
     if (uv.repr == Repr::kFactorized) {
-      if (rc.get() == u.get() && !uv.windowed) {
-        // t(T) %*% T — the factorized Gramian (Orion's cofactor
-        // computation): block decomposition over the normalized tables, no
-        // materialized join. It covers every row, so a windowed t(T) %*% T
-        // takes the RMM below against its densified window instead.
-        if (profile_ != nullptr) profile_->AddFusedUse(lc.get());
-        DMML_ASSIGN_OR_RETURN(*slot.buf, uv.lo->Gram(pool_));
-        CountDispatch(slot, Repr::kFactorized);
-        return Value{Repr::kDense, slot.buf, nullptr, nullptr};
-      }
       // t(T[b:e)) %*% M: factorized RMM over the window's fact rows — rows
       // of M group-accumulate through the join keys before touching the
       // attribute tables (a factorized value is always a leaf).

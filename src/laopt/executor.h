@@ -8,18 +8,18 @@
 /// for its operands:
 ///
 ///  * dense·dense matmul       → blocked GEMM; t(U)·V → TransposeMultiply,
-///    t(U)·U → Gram (SYRK), U·t(V) → MultiplyTransposeB — never
-///    materializing the transpose;
+///    t(U)·U → GramRange (SYRK over U's window), U·t(V) →
+///    MultiplyTransposeB — never materializing the transpose;
 ///  * sparse·dense matmul      → the ranged CSR kernels: S·M →
 ///    SparseMultiplyDenseRange (a gemv loop at one column), t(S)·M →
-///    SparseTransposeMultiplyRange (a row-scatter reduction) — never
-///    materializing the transpose;
+///    SparseTransposeMultiplyRange (a row-scatter reduction), t(S)·S →
+///    SparseGramRange — never materializing the transpose;
 ///  * compressed·dense matmul  → the ranged cla::CompressedMatrix operators
 ///    (MultiplyMatrixRange / TransposeMultiplyMatrixRange, vector loops at
-///    one column), including the fused rowSums(X ⊙ X) → RowSquaredNorms
-///    pattern;
-///  * factorized leaves        → the abstract LinearOperator virtuals (T·m
-///    and Tᵀ·m over the leaf's window of rows, t(T)·T → Gram, colSums, the
+///    one column; t(X)·X → GramRange), including the fused
+///    rowSums(X ⊙ X) → RowSquaredNorms pattern;
+///  * factorized leaves        → the abstract LinearOperator virtuals (T·m,
+///    Tᵀ·m and t(T)·T → Gram over the leaf's window of rows, colSums, the
 ///    fused rowSums(T ⊙ T)), so a normalized-join design matrix trains —
 ///    also fold by fold — without ever materializing the join;
 ///  * row-windowed leaves      → the ranged form of each product above;

@@ -22,8 +22,9 @@ const char* ReprName(Repr repr) {
   return "unknown";
 }
 
-Result<la::DenseMatrix> LinearOperator::Gram(ThreadPool* pool) const {
-  la::DenseMatrix dense = Materialize(0, rows(), pool);
+Result<la::DenseMatrix> LinearOperator::Gram(size_t row_begin, size_t row_end,
+                                             ThreadPool* pool) const {
+  la::DenseMatrix dense = Materialize(row_begin, row_end, pool);
   la::DenseMatrix out;
   la::GramInto(dense, &out, pool);
   return out;

@@ -47,7 +47,7 @@ enum class Repr {
 /// The executor dispatches the products its trainer programs need — T·m,
 /// Tᵀ·m, Gram (TᵀT), rowSums(T⊙T), colSums(T) — to these virtuals and falls
 /// back to Materialize() for anything else (the same densify-on-mismatch
-/// contract the compressed representation has). The two products and
+/// contract the compressed representation has). The two products, Gram and
 /// Materialize take a window of rows, so a row-windowed Operand (a
 /// cross-validation fold) runs the products without materializing the
 /// window, and densifies only the window's rows when it must.
@@ -69,8 +69,11 @@ class LinearOperator {
                                                     size_t row_begin,
                                                     size_t row_end,
                                                     ThreadPool* pool) const = 0;
-  /// TᵀT (cols() x cols()). Default: materialize and multiply.
-  virtual Result<la::DenseMatrix> Gram(ThreadPool* pool) const;
+  /// T[row_begin:row_end)ᵀ T[row_begin:row_end) (cols() x cols()); the
+  /// unsliced Gram is the [0, rows()) window. Default: materialize the
+  /// window and run the dense SYRK.
+  virtual Result<la::DenseMatrix> Gram(size_t row_begin, size_t row_end,
+                                       ThreadPool* pool) const;
   /// Per-row sums of squared entries (rows() x 1). Default: materialize.
   virtual Result<la::DenseMatrix> RowSquaredNorms(ThreadPool* pool) const;
   /// Column sums as a 1 x cols() row vector. Default: Tᵀ·1 reshaped.

@@ -230,9 +230,15 @@ class Parser {
           return Status::NotFound("unknown identifier '" + token.text +
                                   "' at position " + std::to_string(token.pos));
         }
+        // One leaf per name per parse: every occurrence is the same node, so
+        // `t(X) %*% X` reaches the executor's Gram pattern and a non-dense
+        // X densifies at most once per run.
+        ExprPtr& leaf = leaves_[token.text];
+        if (!leaf) {
+          DMML_ASSIGN_OR_RETURN(leaf, ExprNode::InputOperand(it->second, token.text));
+        }
         ParsedValue value;
-        DMML_ASSIGN_OR_RETURN(value.expr,
-                              ExprNode::InputOperand(it->second, token.text));
+        value.expr = leaf;
         return value;
       }
       case TokenKind::kLParen: {
@@ -266,6 +272,7 @@ class Parser {
   const Environment& env_;
   ParseOptions options_;
   size_t cursor_ = 0;
+  std::map<std::string, ExprPtr> leaves_;  // The leaf of each name seen.
 };
 
 }  // namespace

@@ -545,9 +545,13 @@ std::vector<Diagnostic> LintImpl(const ExprPtr& root,
     switch (n->kind()) {
       case OpKind::kMatMul:
         // The generic matmul path densifies its right operand; every fused
-        // left-side pattern (t(U)·V, gram, the compressed, sparse and
-        // factorized transpose products) keeps the left factor native.
-        if (kids.size() == 2 && kids[1] && repr_of(kids[1].get()) != Repr::kDense) {
+        // left-side pattern (t(U)·V, the compressed, sparse and factorized
+        // transpose products) keeps the left factor native, and the Gram
+        // t(U)·U runs every binding's own kernel.
+        if (kids.size() == 2 && kids[1] && repr_of(kids[1].get()) != Repr::kDense &&
+            !(kids[0] && kids[0]->kind() == OpKind::kTranspose &&
+              !kids[0]->children().empty() &&
+              kids[0]->children()[0].get() == kids[1].get())) {
           densified = kids[1].get();
         }
         break;

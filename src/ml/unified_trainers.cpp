@@ -145,6 +145,94 @@ Operand BorrowOperand(const DenseMatrix& m) {
 
 namespace {
 
+// Rows [b, e) of X measured the way the route rule counts work: `cells`
+// is what a scan product reads (every cell, or the nonzeros of a CSR X) and
+// `gram` the Gram pass's products, rows·d(d+1) or Σ_rows nnz_r(nnz_r+1).
+struct RowsWork {
+  double cells = 0;
+  double gram = 0;
+};
+
+RowsWork WorkOfRows(const Operand& x, size_t b, size_t e) {
+  RowsWork w;
+  if (const la::SparseMatrix* s = x.sparse()) {
+    for (size_t r = x.window_begin() + b; r < x.window_begin() + e; ++r) {
+      const double nnz = static_cast<double>(s->RowEnd(r) - s->RowBegin(r));
+      w.cells += nnz;
+      w.gram += nnz * (nnz + 1);
+    }
+    return w;
+  }
+  const double d = static_cast<double>(x.cols());
+  w.cells = static_cast<double>(e - b) * d;
+  w.gram = w.cells * (d + 1);
+  return w;
+}
+
+// Row cuts at 0, n and every fold boundary. Consecutive cuts bound the
+// segments, each of which lies wholly inside or wholly outside every
+// validation range.
+std::vector<size_t> SegmentCuts(size_t n, const std::vector<FoldRange>& folds) {
+  std::vector<size_t> cuts = {0, n};
+  for (const FoldRange& f : folds) {
+    cuts.push_back(f.begin);
+    cuts.push_back(f.end);
+  }
+  std::sort(cuts.begin(), cuts.end());
+  cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
+  return cuts;
+}
+
+// Whether the segment starting at `seg_begin` holds fold f's validation rows.
+bool Validates(const FoldRange& f, size_t seg_begin) {
+  return seg_begin >= f.begin && seg_begin < f.end;
+}
+
+}  // namespace
+
+const char* BatchGdRouteName(BatchGdRoute route) {
+  return route == BatchGdRoute::kStatistics ? "statistics" : "scan";
+}
+
+BatchGdRouteChoice ChooseBatchGdRoute(const Operand& x,
+                                      const std::vector<FoldRange>& folds,
+                                      const std::vector<GlmConfig>& configs) {
+  BatchGdRouteChoice choice;
+  const size_t n = x.rows(), d = x.cols();
+  if (!x.bound() || folds.empty() || configs.empty()) return choice;
+  size_t min_train = n;
+  for (const FoldRange& f : folds) {
+    if (f.begin > f.end || f.end > n) return choice;
+    min_train = std::min(min_train, n - (f.end - f.begin));
+  }
+  const std::vector<size_t> cuts = SegmentCuts(n, folds);
+  double train_cells = 0;  // Σ_f nnz(train_f).
+  for (size_t s = 0; s + 1 < cuts.size(); ++s) {
+    const RowsWork w = WorkOfRows(x, cuts[s], cuts[s + 1]);
+    choice.statistics_cost += w.gram;
+    for (const FoldRange& f : folds) {
+      if (!Validates(f, cuts[s])) train_cells += w.cells;
+    }
+  }
+  const double epochs = static_cast<double>(configs.front().max_epochs);
+  const double dd = static_cast<double>(d);
+  choice.statistics_cost +=
+      epochs * static_cast<double>(folds.size()) * 2.0 * dd * dd;
+  choice.scan_cost = epochs * 4.0 * train_cells;
+  if (configs.front().family == GlmFamily::kGaussian && d <= min_train &&
+      choice.statistics_cost <= choice.scan_cost) {
+    choice.route = BatchGdRoute::kStatistics;
+  }
+  return choice;
+}
+
+namespace {
+
+// A statistics-route column whose data loss Σ½r² falls below this fraction
+// of ½yᵀy takes the epoch's loss from a residual pass instead: the
+// statistics form cancels as the fit nears exact.
+constexpr double kRescanBelow = 1e-6;
+
 // The compiled per-fold slice of a rung's plans. Leaf payloads (W and the
 // residual windows) are mutated in place between executor runs; the
 // expression nodes are built once per rung, since the executor keys plans
@@ -153,15 +241,22 @@ struct FoldProgram {
   std::shared_ptr<DenseMatrix> w;     // d x k weight matrix.
   std::shared_ptr<DenseMatrix> r_lo;  // Window-relative residuals, [0, begin).
   std::shared_ptr<DenseMatrix> r_hi;  // Window-relative residuals, [end, n).
-  ExprPtr score_lo;                   // Phase A root: X[0,b) %*% W.
-  ExprPtr score_hi;                   // Phase A root: X[e,n) %*% W.
-  ExprPtr grad;                       // Phase B root: Xᵀ·R over both windows.
-  int a_lo = -1, a_hi = -1;           // Indices into the phase A root list.
-  int b = -1;                         // Index into the phase B root list.
+  std::vector<ExprPtr> scores;        // Score roots: X[0,b) %*% W, X[e,n) %*% W.
+  ExprPtr step;                       // Scan: Xᵀ·R over both windows; statistics: G %*% W.
+  int a = -1;                         // Its first root in the scan's score list.
+  int b = -1;                         // Index into the step root list.
   size_t lo_rows = 0;                 // begin.
   size_t hi_begin = 0, hi_rows = 0;   // end, n - end.
+  double rows = 0;                    // n_train.
   double inv_n = 0;                   // 1 / n_train.
   size_t live = 0;                    // Columns not yet stopped.
+  // Statistics route: the training rows' sufficient statistics, and the
+  // gradient Xᵀr each epoch rebuilds from them.
+  std::shared_ptr<DenseMatrix> gram;  // G = XᵀX, d x d.
+  std::vector<double> xty, xt1;       // c = Xᵀy and s = Xᵀ1.
+  double yty = 0, ysum = 0;           // yᵀy and Σy.
+  DenseMatrix grad;                   // d x k.
+  bool rescan = false;                // A column needs a residual pass.
 };
 
 Status ValidateRung(const Operand& x, const DenseMatrix& y,
@@ -196,8 +291,18 @@ Status ValidateRung(const Operand& x, const DenseMatrix& y,
       return Status::InvalidArgument(
           "batch GD: configs must share family, epochs and intercept");
     }
-    if (c.learning_rate <= 0) {
-      return Status::InvalidArgument("learning_rate must be positive");
+    // Written so that NaN fails each test.
+    if (!(c.learning_rate > 0) || !std::isfinite(c.learning_rate)) {
+      return Status::InvalidArgument(
+          "batch GD: learning_rate must be finite and positive");
+    }
+    if (!(c.l2 >= 0) || !std::isfinite(c.l2)) {
+      return Status::InvalidArgument(
+          "batch GD: l2 must be finite and non-negative");
+    }
+    if (!(c.lr_decay >= 0) || !std::isfinite(c.lr_decay)) {
+      return Status::InvalidArgument(
+          "batch GD: lr_decay must be finite and non-negative");
     }
   }
   if (base.family == GlmFamily::kBinomial) {
@@ -214,51 +319,242 @@ Status ValidateRung(const Operand& x, const DenseMatrix& y,
 // Builds one fold's leaves and roots. Training windows are zero-copy row
 // slices of the shared X operand — also when a window spans every row — so
 // every product runs a ranged kernel whose cutoffs and grains do not depend
-// on the rung width.
+// on the rung width. The scan route's step is the gradient Xᵀ·R over the
+// residual leaves; the statistics route's is G %*% W, with G bound as a
+// [0, d) slice for the same reason, and its residual buffers wait for the
+// first residual pass.
 Result<FoldProgram> BuildFoldProgram(const Operand& x, const FoldRange& fold,
-                                     size_t d, size_t k, size_t fold_id) {
+                                     size_t d, size_t k, size_t fold_id,
+                                     BatchGdRoute route) {
   const size_t n = x.rows();
+  const bool scan = route == BatchGdRoute::kScan;
   FoldProgram p;
   p.lo_rows = fold.begin;
   p.hi_begin = fold.end;
   p.hi_rows = n - fold.end;
-  p.inv_n = 1.0 / static_cast<double>(p.lo_rows + p.hi_rows);
+  p.rows = static_cast<double>(p.lo_rows + p.hi_rows);
+  p.inv_n = 1.0 / p.rows;
   p.live = k;
   const std::string tag = std::to_string(fold_id);
 
   p.w = std::make_shared<DenseMatrix>(d, k);
   DMML_ASSIGN_OR_RETURN(ExprPtr wleaf,
                         ExprNode::InputOperand(Operand(p.w), "W" + tag));
-  if (p.lo_rows > 0) {
-    DMML_ASSIGN_OR_RETURN(
-        ExprPtr xlo, ExprNode::InputOperand(x.Slice(0, p.lo_rows), "Xlo" + tag));
-    p.r_lo = std::make_shared<DenseMatrix>(p.lo_rows, k);
-    DMML_ASSIGN_OR_RETURN(ExprPtr rlo,
-                          ExprNode::InputOperand(Operand(p.r_lo), "Rlo" + tag));
-    DMML_ASSIGN_OR_RETURN(p.score_lo, ExprNode::MatMul(xlo, wleaf));
-    DMML_ASSIGN_OR_RETURN(ExprPtr xlo_t, ExprNode::Transpose(xlo));
-    DMML_ASSIGN_OR_RETURN(p.grad, ExprNode::MatMul(xlo_t, rlo));
-  }
-  if (p.hi_rows > 0) {
-    DMML_ASSIGN_OR_RETURN(
-        ExprPtr xhi, ExprNode::InputOperand(x.Slice(p.hi_begin, n), "Xhi" + tag));
-    p.r_hi = std::make_shared<DenseMatrix>(p.hi_rows, k);
-    DMML_ASSIGN_OR_RETURN(ExprPtr rhi,
-                          ExprNode::InputOperand(Operand(p.r_hi), "Rhi" + tag));
-    DMML_ASSIGN_OR_RETURN(p.score_hi, ExprNode::MatMul(xhi, wleaf));
-    DMML_ASSIGN_OR_RETURN(ExprPtr xhi_t, ExprNode::Transpose(xhi));
-    DMML_ASSIGN_OR_RETURN(ExprPtr ghi, ExprNode::MatMul(xhi_t, rhi));
-    if (p.grad) {
-      DMML_ASSIGN_OR_RETURN(p.grad, ExprNode::Add(p.grad, ghi));
+  ExprPtr grad;
+  auto add_window = [&](size_t begin, size_t end, const char* name,
+                        std::shared_ptr<DenseMatrix>* r) -> Status {
+    DMML_ASSIGN_OR_RETURN(ExprPtr xw, ExprNode::InputOperand(x.Slice(begin, end),
+                                                             name + tag));
+    DMML_ASSIGN_OR_RETURN(ExprPtr score, ExprNode::MatMul(xw, wleaf));
+    p.scores.push_back(std::move(score));
+    if (!scan) return Status::OK();
+    *r = std::make_shared<DenseMatrix>(end - begin, k);
+    DMML_ASSIGN_OR_RETURN(ExprPtr rleaf,
+                          ExprNode::InputOperand(Operand(*r), std::string("R") + name + tag));
+    DMML_ASSIGN_OR_RETURN(ExprPtr xt, ExprNode::Transpose(xw));
+    DMML_ASSIGN_OR_RETURN(ExprPtr g, ExprNode::MatMul(xt, rleaf));
+    if (grad) {
+      DMML_ASSIGN_OR_RETURN(grad, ExprNode::Add(grad, g));
     } else {
-      p.grad = std::move(ghi);
+      grad = std::move(g);
     }
+    return Status::OK();
+  };
+  if (p.lo_rows > 0) DMML_RETURN_IF_ERROR(add_window(0, p.lo_rows, "Xlo", &p.r_lo));
+  if (p.hi_rows > 0) DMML_RETURN_IF_ERROR(add_window(p.hi_begin, n, "Xhi", &p.r_hi));
+  if (scan) {
+    p.step = std::move(grad);
+    return p;
   }
+  p.gram = std::make_shared<DenseMatrix>(d, d);
+  p.xty.assign(d, 0.0);
+  p.xt1.assign(d, 0.0);
+  p.grad = DenseMatrix(d, k);
+  DMML_ASSIGN_OR_RETURN(
+      ExprPtr gleaf, ExprNode::InputOperand(Operand(p.gram).Slice(0, d), "G" + tag));
+  DMML_ASSIGN_OR_RETURN(p.step, ExprNode::MatMul(gleaf, wleaf));
   return p;
 }
 
+// The statistics route's one pass over X: one multi-root plan computes, per
+// row segment, t(Xs) %*% Xs and t(Xs) %*% [ys 1], and each fold's
+// statistics are the sums, in segment order, of the segments outside its
+// validation range — sums rather than total-minus-held-out, so no
+// cancellation enters. It runs on its own executor, whose plans and slots
+// go away with the pass.
+Status ComputeFoldStatistics(const Operand& x, const DenseMatrix& y,
+                             const std::vector<FoldRange>& folds,
+                             ThreadPool* pool, std::vector<FoldProgram>* programs) {
+  DMML_TRACE_SPAN("ml.glm.statistics");
+  const std::vector<size_t> cuts = SegmentCuts(x.rows(), folds);
+  const size_t segments = cuts.size() - 1, d = x.cols();
+  std::vector<ExprPtr> roots;
+  std::vector<double> yty(segments, 0.0), ysum(segments, 0.0);
+  for (size_t s = 0; s < segments; ++s) {
+    const size_t b = cuts[s], e = cuts[s + 1];
+    auto y1 = std::make_shared<DenseMatrix>(e - b, 2);
+    for (size_t i = b; i < e; ++i) {
+      const double v = y.At(i, 0);
+      y1->At(i - b, 0) = v;
+      y1->At(i - b, 1) = 1.0;
+      yty[s] += v * v;
+      ysum[s] += v;
+    }
+    const std::string tag = std::to_string(s);
+    DMML_ASSIGN_OR_RETURN(ExprPtr xs, ExprNode::InputOperand(x.Slice(b, e), "X" + tag));
+    DMML_ASSIGN_OR_RETURN(ExprPtr y1leaf,
+                          ExprNode::InputOperand(Operand(std::move(y1)), "Y1" + tag));
+    DMML_ASSIGN_OR_RETURN(ExprPtr xt, ExprNode::Transpose(xs));
+    DMML_ASSIGN_OR_RETURN(ExprPtr gram, ExprNode::MatMul(xt, xs));
+    DMML_ASSIGN_OR_RETURN(ExprPtr cross, ExprNode::MatMul(xt, y1leaf));
+    roots.push_back(std::move(gram));
+    roots.push_back(std::move(cross));
+  }
+  BufferedExecutor executor(pool);
+  DMML_ASSIGN_OR_RETURN(std::vector<const DenseMatrix*> outs,
+                        executor.RunMany(roots));
+  for (size_t f = 0; f < folds.size(); ++f) {
+    FoldProgram& p = (*programs)[f];
+    for (size_t s = 0; s < segments; ++s) {
+      if (Validates(folds[f], cuts[s])) continue;
+      la::AxpyInto(1.0, *outs[2 * s], p.gram.get());
+      const DenseMatrix& cross = *outs[2 * s + 1];
+      for (size_t j = 0; j < d; ++j) {
+        p.xty[j] += cross.At(j, 0);
+        p.xt1[j] += cross.At(j, 1);
+      }
+      p.yty += yty[s];
+      p.ysum += ysum[s];
+    }
+  }
+  return Status::OK();
+}
+
+// Per-epoch state the two routes fill for the shared update: each live
+// (fold, config) column's loss sum Σ½r² and bias gradient Σr at the
+// epoch's starting (w, b), and each live fold's gradient Xᵀr (d x k).
+struct EpochTerms {
+  std::vector<double> loss, bias;     // folds·k, column f·k + c.
+  std::vector<const DenseMatrix*> grad;  // One per fold.
+  std::vector<char> rescan;           // Statistics route: loss from residuals.
+  std::vector<double> fold_loss, fold_bias;  // k-wide residual-kernel sums.
+};
+
+// Turns fold p's scores — its score roots' results from `first` on — into
+// residuals and sets `loss`/`bias` (k wide) to the residual kernel's sums
+// over its training windows, the hi window after the lo one.
+void FoldResiduals(FoldProgram& p, const std::vector<const DenseMatrix*>& scores,
+                   size_t first, const DenseMatrix& y,
+                   const std::vector<double>& intercepts, GlmFamily family,
+                   double* loss, double* bias) {
+  const size_t k = intercepts.size();
+  std::fill(loss, loss + k, 0.0);
+  std::fill(bias, bias + k, 0.0);
+  if (p.lo_rows > 0) {
+    la::GlmResidualsInto(*scores[first], intercepts.data(), y.Row(0), family,
+                         p.r_lo.get(), loss, bias);
+  }
+  if (p.hi_rows > 0) {
+    la::GlmResidualsInto(*scores[first + p.scores.size() - 1], intercepts.data(),
+                         y.Row(p.hi_begin), family, p.r_hi.get(), loss, bias);
+  }
+}
+
+// The scan route's epoch: phase A computes every live fold's scores from
+// one wide plan — the shared scan, whose fold branches the inter-node
+// scheduler overlaps — the residual kernel turns them into residuals and
+// sums, and phase B computes every live fold's gradient Xᵀ·R from a second
+// wide plan.
+Status ScanEpoch(BufferedExecutor& executor, std::vector<FoldProgram>& programs,
+                 const std::vector<ExprPtr>& score_roots,
+                 const std::vector<ExprPtr>& step_roots, const DenseMatrix& y,
+                 GlmFamily family, SharedScanResult& result, EpochTerms& t) {
+  DMML_ASSIGN_OR_RETURN(std::vector<const DenseMatrix*> scores,
+                        executor.RunMany(score_roots));
+  const size_t k = result.folds.front().intercepts.size();
+  for (size_t f = 0; f < programs.size(); ++f) {
+    FoldProgram& p = programs[f];
+    if (p.live == 0) continue;
+    FoldResiduals(p, scores, p.a, y, result.folds[f].intercepts, family,
+                  &t.loss[f * k], &t.bias[f * k]);
+  }
+  DMML_ASSIGN_OR_RETURN(std::vector<const DenseMatrix*> grads,
+                        executor.RunMany(step_roots));
+  for (size_t f = 0; f < programs.size(); ++f) {
+    if (programs[f].live > 0) t.grad[f] = grads[programs[f].b];
+  }
+  return Status::OK();
+}
+
+// The statistics route's epoch: one plan of G_f %*% W_f over the live folds,
+// then per live column, at its starting (w, b),
+//   g = G·w + s·b − c,   Σr = sᵀw + n·b − Σy,
+//   Σ½r² = ½(wᵀGw + 2b·sᵀw + n·b² − 2cᵀw − 2b·Σy + yᵀy),
+// every sum taken over j in order, so a wide column is bit-equal to its
+// width-1 run. A column whose loss sum falls below kRescanBelow·½yᵀy takes
+// it from its fold's score plan and the residual kernel — the scan route's
+// own code, so the value is the scan's — counted in
+// ml.glm.stats.loss_rescans once per fold pass.
+Status StatisticsEpoch(BufferedExecutor& executor,
+                       std::vector<FoldProgram>& programs,
+                       const std::vector<ExprPtr>& step_roots,
+                       const std::vector<char>& live, const DenseMatrix& y,
+                       GlmFamily family, SharedScanResult& result, EpochTerms& t) {
+  DMML_ASSIGN_OR_RETURN(std::vector<const DenseMatrix*> gws,
+                        executor.RunMany(step_roots));
+  const size_t k = result.folds.front().intercepts.size();
+  for (size_t f = 0; f < programs.size(); ++f) {
+    FoldProgram& p = programs[f];
+    if (p.live == 0) continue;
+    const DenseMatrix& gw = *gws[p.b];
+    const size_t d = gw.rows();
+    p.rescan = false;
+    for (size_t c = 0; c < k; ++c) {
+      const size_t col = f * k + c;
+      if (!live[col]) continue;
+      const double b = result.folds[f].intercepts[c];
+      double wgw = 0, sw = 0, cw = 0;
+      for (size_t j = 0; j < d; ++j) {
+        const double wj = p.w->At(j, c);
+        wgw += wj * gw.At(j, c);
+        sw += p.xt1[j] * wj;
+        cw += p.xty[j] * wj;
+        p.grad.At(j, c) = gw.At(j, c) + p.xt1[j] * b - p.xty[j];
+      }
+      t.bias[col] = sw + p.rows * b - p.ysum;
+      t.loss[col] = 0.5 * (wgw + 2.0 * b * sw + p.rows * b * b - 2.0 * cw -
+                           2.0 * b * p.ysum + p.yty);
+      t.rescan[col] = t.loss[col] < kRescanBelow * 0.5 * p.yty;
+      p.rescan = p.rescan || t.rescan[col];
+    }
+    t.grad[f] = &p.grad;
+  }
+  // G·W's buffers are free from here on: each residual pass is its own run.
+  for (size_t f = 0; f < programs.size(); ++f) {
+    FoldProgram& p = programs[f];
+    if (p.live == 0 || !p.rescan) continue;
+    DMML_COUNTER_INC("ml.glm.stats.loss_rescans");
+    DMML_ASSIGN_OR_RETURN(std::vector<const DenseMatrix*> scores,
+                          executor.RunMany(p.scores));
+    if (p.lo_rows > 0 && !p.r_lo) {
+      p.r_lo = std::make_shared<DenseMatrix>(p.lo_rows, k);
+    }
+    if (p.hi_rows > 0 && !p.r_hi) {
+      p.r_hi = std::make_shared<DenseMatrix>(p.hi_rows, k);
+    }
+    FoldResiduals(p, scores, 0, y, result.folds[f].intercepts, family,
+                  t.fold_loss.data(), t.fold_bias.data());
+    for (size_t c = 0; c < k; ++c) {
+      if (t.rescan[f * k + c]) t.loss[f * k + c] = t.fold_loss[c];
+    }
+  }
+  return Status::OK();
+}
+
 // The batch-GD epoch loop behind SharedScanTrain and TrainGlmOnOperand,
-// for a rung that ValidateRung accepted.
+// for a rung that ValidateRung accepted. The route only decides how an
+// epoch obtains each live column's loss, bias gradient and gradient; the
+// update, the stopping rule and the bookkeeping below are shared.
 Result<SharedScanResult> TrainRung(const Operand& x, const DenseMatrix& y,
                                    const std::vector<FoldRange>& folds,
                                    const std::vector<GlmConfig>& configs,
@@ -266,17 +562,28 @@ Result<SharedScanResult> TrainRung(const Operand& x, const DenseMatrix& y,
                                    laopt::PlanProfile* profile) {
   const size_t d = x.cols(), k = configs.size();
   const GlmConfig& base = configs.front();
+  SharedScanResult result;
+  result.route = ChooseBatchGdRoute(x, folds, configs);
+  const bool statistics = result.route.route == BatchGdRoute::kStatistics;
+  if (statistics) {
+    DMML_COUNTER_INC("ml.glm.route.statistics");
+  } else {
+    DMML_COUNTER_INC("ml.glm.route.scan");
+  }
 
   std::vector<FoldProgram> programs;
   programs.reserve(folds.size());
   for (size_t f = 0; f < folds.size(); ++f) {
-    DMML_ASSIGN_OR_RETURN(FoldProgram p, BuildFoldProgram(x, folds[f], d, k, f));
+    DMML_ASSIGN_OR_RETURN(FoldProgram p, BuildFoldProgram(x, folds[f], d, k, f,
+                                                          result.route.route));
     programs.push_back(std::move(p));
+  }
+  if (statistics) {
+    DMML_RETURN_IF_ERROR(ComputeFoldStatistics(x, y, folds, pool, &programs));
   }
   BufferedExecutor executor(pool);
   executor.set_profile(profile);
 
-  SharedScanResult result;
   result.folds.resize(programs.size());
   for (SharedScanFold& out : result.folds) {
     out.intercepts.assign(k, 0.0);
@@ -287,17 +594,23 @@ Result<SharedScanResult> TrainRung(const Operand& x, const DenseMatrix& y,
 
   // Each (fold, config) column stops on its own tolerance: the epoch that
   // meets the rule still updates and records its loss, then the column
-  // freezes. A fold whose columns have all stopped leaves the phase plans.
+  // freezes. A fold whose columns have all stopped leaves the epoch plans.
   const size_t columns = programs.size() * k;
   std::vector<char> live(columns, 1);
   std::vector<double> prev_loss(columns, std::numeric_limits<double>::infinity());
-  std::vector<double> loss(columns);
   size_t live_total = columns;
-  std::vector<ExprPtr> score_roots, grad_roots;
+  std::vector<ExprPtr> score_roots, step_roots;
   bool roots_stale = true;
 
   // Hoisted epoch scratch: steady-state epochs allocate nothing.
-  std::vector<double> lrs(k), losses(k), bias(k);
+  std::vector<double> lrs(k);
+  EpochTerms terms;
+  terms.loss.assign(columns, 0.0);
+  terms.bias.assign(columns, 0.0);
+  terms.grad.assign(programs.size(), nullptr);
+  terms.rescan.assign(columns, 0);
+  terms.fold_loss.assign(k, 0.0);
+  terms.fold_bias.assign(k, 0.0);
 
   size_t epoch = 0;
   for (; epoch < base.max_epochs && live_total > 0; ++epoch) {
@@ -306,19 +619,15 @@ Result<SharedScanResult> TrainRung(const Operand& x, const DenseMatrix& y,
       // One multi-root plan per phase over the folds still training, all
       // sharing the bound X payload through windowed leaves.
       score_roots.clear();
-      grad_roots.clear();
+      step_roots.clear();
       for (FoldProgram& p : programs) {
         if (p.live == 0) continue;
-        if (p.score_lo) {
-          p.a_lo = static_cast<int>(score_roots.size());
-          score_roots.push_back(p.score_lo);
+        if (!statistics) {
+          p.a = static_cast<int>(score_roots.size());
+          score_roots.insert(score_roots.end(), p.scores.begin(), p.scores.end());
         }
-        if (p.score_hi) {
-          p.a_hi = static_cast<int>(score_roots.size());
-          score_roots.push_back(p.score_hi);
-        }
-        p.b = static_cast<int>(grad_roots.size());
-        grad_roots.push_back(p.grad);
+        p.b = static_cast<int>(step_roots.size());
+        step_roots.push_back(p.step);
       }
       roots_stale = false;
     }
@@ -327,68 +636,48 @@ Result<SharedScanResult> TrainRung(const Operand& x, const DenseMatrix& y,
                (1.0 + configs[c].lr_decay * static_cast<double>(epoch));
     }
 
-    // Phase A: every training fold's scores from one wide plan — the shared
-    // scan. The inter-node scheduler overlaps fold branches.
-    DMML_ASSIGN_OR_RETURN(std::vector<const DenseMatrix*> scores,
-                          executor.RunMany(score_roots));
+    if (statistics) {
+      DMML_RETURN_IF_ERROR(StatisticsEpoch(executor, programs, step_roots, live, y,
+                                           base.family, result, terms));
+    } else {
+      DMML_RETURN_IF_ERROR(ScanEpoch(executor, programs, score_roots, step_roots,
+                                     y, base.family, result, terms));
+    }
 
-    // The middle: one kernel turns each training window's scores into
-    // residuals and adds up every column's loss at the weights this epoch
-    // started from and its bias gradient, the hi window after the lo one.
+    // Each live column records its loss at the weights this epoch started
+    // from, takes the step b -= lr·Σr/n, w -= lr·(g/n + λ·w), and applies
+    // its stopping rule.
     for (size_t f = 0; f < programs.size(); ++f) {
       FoldProgram& p = programs[f];
       if (p.live == 0) continue;
       SharedScanFold& out = result.folds[f];
-      std::fill(losses.begin(), losses.end(), 0.0);
-      std::fill(bias.begin(), bias.end(), 0.0);
-      if (p.a_lo >= 0) {
-        la::GlmResidualsInto(*scores[p.a_lo], out.intercepts.data(), y.Row(0),
-                             base.family, p.r_lo.get(), losses.data(),
-                             bias.data());
-      }
-      if (p.a_hi >= 0) {
-        la::GlmResidualsInto(*scores[p.a_hi], out.intercepts.data(),
-                             y.Row(p.hi_begin), base.family, p.r_hi.get(),
-                             losses.data(), bias.data());
-      }
+      const DenseMatrix& g = *terms.grad[f];
       for (size_t c = 0; c < k; ++c) {
-        if (!live[f * k + c]) continue;
-        double l = losses[c] * p.inv_n;
+        const size_t col = f * k + c;
+        if (!live[col]) continue;
+        double l = terms.loss[col] * p.inv_n;
         if (configs[c].l2 > 0) {
           double w2 = 0;
           for (size_t j = 0; j < d; ++j) w2 += p.w->At(j, c) * p.w->At(j, c);
           l += 0.5 * configs[c].l2 * w2;
         }
-        loss[f * k + c] = l;
         out.loss_histories[c].push_back(l);
         out.epochs_run[c] = epoch + 1;
-        if (base.fit_intercept) out.intercepts[c] -= lrs[c] * bias[c] * p.inv_n;
-      }
-    }
-
-    // Phase B: every training fold's gradient Xᵀ·R from one wide plan, then
-    // each live column's step w -= lr·(g/n + λ·w) and its stopping rule.
-    DMML_ASSIGN_OR_RETURN(std::vector<const DenseMatrix*> grads,
-                          executor.RunMany(grad_roots));
-    for (size_t f = 0; f < programs.size(); ++f) {
-      FoldProgram& p = programs[f];
-      if (p.live == 0) continue;
-      const DenseMatrix& g = *grads[p.b];
-      for (size_t c = 0; c < k; ++c) {
-        const size_t col = f * k + c;
-        if (!live[col]) continue;
+        if (base.fit_intercept) {
+          out.intercepts[c] -= lrs[c] * terms.bias[col] * p.inv_n;
+        }
         for (size_t j = 0; j < d; ++j) {
           p.w->At(j, c) -= lrs[c] * (g.At(j, c) * p.inv_n +
                                      configs[c].l2 * p.w->At(j, c));
         }
         if (std::isfinite(prev_loss[col]) &&
-            std::fabs(prev_loss[col] - loss[col]) <=
+            std::fabs(prev_loss[col] - l) <=
                 configs[c].tolerance * std::max(1.0, prev_loss[col])) {
           live[col] = 0;
           --live_total;
           if (--p.live == 0) roots_stale = true;
         }
-        prev_loss[col] = loss[col];
+        prev_loss[col] = l;
       }
     }
     DMML_HISTOGRAM_OBSERVE("ml.glm.epoch_us", obs::ExponentialBuckets(32, 4, 10),

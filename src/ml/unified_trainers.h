@@ -62,11 +62,51 @@ struct SharedScanFold {
   std::vector<size_t> epochs_run;                   ///< k entries.
 };
 
+/// \brief How the batch-GD engine obtains each epoch's losses and gradients.
+enum class BatchGdRoute {
+  /// Two ranged products over X per epoch and fold — X·W, then Xᵀ·R on the
+  /// residuals — for any family.
+  kScan,
+  /// Squared loss only: one pass computes each row segment's XᵀX, Xᵀy and
+  /// Xᵀ1, and every epoch is one d×d×k product per fold.
+  kStatistics,
+};
+
+/// \brief "scan" or "statistics".
+const char* BatchGdRouteName(BatchGdRoute route);
+
+/// \brief A route and the costs it was chosen by, in flop-equivalents.
+struct BatchGdRouteChoice {
+  BatchGdRoute route = BatchGdRoute::kScan;
+  double statistics_cost = 0;  ///< Σ_segments gram(s) + E·F·2d².
+  double scan_cost = 0;        ///< E·Σ_folds 4·nnz(train_f).
+};
+
 /// \brief Result of one rung over every fold.
 struct SharedScanResult {
   std::vector<SharedScanFold> folds;  ///< One per input FoldRange, in order.
   size_t epochs_run = 0;              ///< Epochs the rung executed.
+  BatchGdRouteChoice route;           ///< The route the rung trained on.
 };
+
+/// \brief The engine's route rule, a pure function of X's binding and
+/// shape, the folds and the shared config fields. The rows are cut at every
+/// fold boundary into segments; E is `max_epochs`, F the number of folds.
+/// It picks statistics only when all three hold:
+///
+///  1. the family is Gaussian;
+///  2. d is at most the smallest fold's training row count;
+///  3. Σ_segments gram(s) + E·F·2d² ≤ E·Σ_f 4·nnz(train_f), where gram(s)
+///     is rows_s·d(d+1) for dense, CLA and factorized bindings and
+///     Σ_rows nnz_r(nnz_r+1) for CSR, and nnz(train_f) is rows·d or the
+///     CSR nonzeros of fold f's training rows.
+///
+/// The rule is evaluated at width 1 — k never enters it — so every column
+/// of a rung takes the route its width-1 run takes. Malformed inputs get
+/// the scan route with zero costs.
+BatchGdRouteChoice ChooseBatchGdRoute(const laopt::Operand& x,
+                                      const std::vector<FoldRange>& folds,
+                                      const std::vector<GlmConfig>& configs);
 
 /// \brief The batch-gradient GLM engine: trains every configuration of a
 /// rung on each fold's training windows at once, as one d×k weight matrix
@@ -74,12 +114,23 @@ struct SharedScanResult {
 ///
 /// All configs must share family, max_epochs and fit_intercept, and every
 /// `solver` must be kBatchGd (InvalidArgument naming the solver otherwise);
-/// learning_rate, l2, lr_decay and tolerance may differ per config. `y` is
-/// n x 1 in the same row order as `x`. Training windows are zero-copy row
-/// slices of `x`, so every epoch is one X·W and one Xᵀ·R product per window
-/// on the binding's ranged kernels, run as two wide multi-root plans that
-/// the inter-node scheduler overlaps across folds. Each (fold, config)
-/// column then follows the single-model contract:
+/// learning_rate (finite, > 0), l2 and lr_decay (finite, ≥ 0) and tolerance
+/// may differ per config — InvalidArgument names a field out of range. `y`
+/// is n x 1 in the same row order as `x`. Training windows are zero-copy
+/// row slices of `x`. ChooseBatchGdRoute picks how each epoch runs:
+///
+///  * scan: one X·W and one Xᵀ·R product per window on the binding's
+///    ranged kernels, run as two wide multi-root plans that the inter-node
+///    scheduler overlaps across folds;
+///  * statistics: one plan first computes each row segment's XᵀX, Xᵀy and
+///    Xᵀ1 (the `ml.glm.statistics` span), and each epoch is one G_f·W_f
+///    plan over the live folds plus the scalar gradient and loss algebra.
+///    A column whose statistics loss falls below 1e-6 of yᵀy/2n takes that
+///    epoch's loss from a residual pass instead (`ml.glm.stats.loss_rescans`).
+///
+/// Each run adds one to `ml.glm.route.statistics` or `ml.glm.route.scan`,
+/// and `SharedScanResult::route` records the route and both costs. Each
+/// (fold, config) column then follows the single-model contract:
 ///
 ///  * the update is w -= lr·(g/n + λ·w), b -= lr·Σr/n, with
 ///    lr = learning_rate / (1 + lr_decay·epoch);
@@ -91,7 +142,7 @@ struct SharedScanResult {
 ///    when every column has stopped or the budget runs out.
 ///
 /// A k-wide dense epoch is bit-equal per column to width-1 epochs over the
-/// same windows. Steady-state epochs allocate nothing; each epoch's wall
+/// same windows, on either route. Steady-state epochs allocate nothing; each epoch's wall
 /// time is observed into `ml.glm.epoch_us`. A `profile` records per-node
 /// EXPLAIN ANALYZE evidence for the executor runs that have one root (a
 /// one-window rung); multi-root runs are not profiled. Every call is one
@@ -132,12 +183,12 @@ Result<GlmModel> TrainGlmOnOperand(const laopt::Operand& x,
 
 /// \brief Closed-form ridge solve (XᵀX + nλI) w = Xᵀy over any
 /// representation of X (Gaussian family). XᵀX, Xᵀy and the intercept
-/// border's colSums(X) are evaluated through the executor: dense bindings
-/// hit the SYRK/fused-transpose kernels, a factorized binding the Orion
-/// cofactor Gramian and per-table column sums (factorized_gramian.h), and
-/// sparse and compressed bindings their native operators where they exist
-/// and the densify fallback where they do not. Fills `model` (weights,
-/// intercept, one loss_history entry, epochs_run = 1).
+/// border's colSums(X) are evaluated through the executor, each on the
+/// binding's own kernel: dense bindings hit the SYRK/fused-transpose
+/// kernels, CSR and CLA their Gram and transpose products, and a
+/// factorized binding the Orion cofactor Gramian and per-table column sums
+/// (factorized_gramian.h). Fills `model` (weights, intercept, one
+/// loss_history entry, epochs_run = 1).
 Status RunNormalEquationsOnOperand(const laopt::Operand& x,
                                    const la::DenseMatrix& y,
                                    const GlmConfig& config, ThreadPool* pool,

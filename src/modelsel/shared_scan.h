@@ -8,7 +8,9 @@
 /// ONE d x k weight matrix W: an epoch costs one X·W product and one Xᵀ·R
 /// product per fold window — dense GEMM, CSR, CLA or factorized ranged
 /// kernels, picked by the representation X is bound to — instead of k
-/// separate passes. The engine is the one batch-GD trainer,
+/// separate passes. A squared-loss rung whose shape favours it reads X
+/// once instead: one Gram pass per rung, then d×d×k work per epoch
+/// (ml::ChooseBatchGdRoute). The engine is the one batch-GD trainer,
 /// ml::SharedScanTrain (ml/unified_trainers.h); this header re-exports it
 /// with its fold types and adds validation scoring and the fold layout.
 ///

@@ -57,6 +57,14 @@ bool ExplainEnvEnabled() {
   return v != nullptr && *v != '\0' && std::strcmp(v, "0") != 0;
 }
 
+// Logs a terminal call's EXPLAIN under DMML_EXPLAIN=1, once everything it
+// decides before training is in the report.
+void MaybeLogExplain(const PipelineReport& report) {
+  if (ExplainEnvEnabled()) {
+    DMML_LOG(Info) << "DMML_EXPLAIN pipeline\n" << report.ExplainText();
+  }
+}
+
 // Cost-model constants, in flop-equivalents. Materializing a join writes
 // every output cell through a hash probe and a row copy; the factorized
 // route instead pays per-epoch gather traffic and a one-time key-map build.
@@ -92,6 +100,14 @@ std::string PipelineReport::ExplainText() const {
   if (materialized_bytes > 0 || factorized_bytes > 0) {
     os << " (est bytes: materialized " << materialized_bytes << ", factorized "
        << factorized_bytes << ")";
+  }
+  if (training_route) {
+    const std::streamsize precision = os.precision(3);
+    os << "\ntraining: batch GD on the "
+       << ml::BatchGdRouteName(training_route->route)
+       << " route — cost statistics " << training_route->statistics_cost
+       << " vs scan " << training_route->scan_cost << " flop-eq";
+    os.precision(precision);
   }
   os << "\nrelational prefix (operator, est rows vs actual rows):\n";
   for (const relational::OperatorObservation& op : relational_ops) {
@@ -564,9 +580,6 @@ Result<Pipeline::LoweredProgram> Pipeline::Lower(size_t epochs,
       }
     }
   }
-  if (ExplainEnvEnabled()) {
-    DMML_LOG(Info) << "DMML_EXPLAIN pipeline\n" << report->ExplainText();
-  }
   return out;
 }
 
@@ -576,6 +589,9 @@ Result<GlmFit> Pipeline::TrainGlm(const ml::GlmConfig& config,
   DMML_ASSIGN_OR_RETURN(
       LoweredProgram lp,
       Lower(config.max_epochs, /*need_label=*/true, pool, &fit.report));
+  const size_t n = lp.x.rows();
+  fit.report.training_route = ml::ChooseBatchGdRoute(lp.x, {{n, n}}, {config});
+  MaybeLogExplain(fit.report);
   DMML_ASSIGN_OR_RETURN(fit.model,
                         ml::TrainGlmOnOperand(lp.x, lp.y, config, pool));
   return fit;
@@ -587,6 +603,7 @@ Result<GlmFit> Pipeline::NormalEquations(const ml::GlmConfig& config,
   DMML_ASSIGN_OR_RETURN(
       LoweredProgram lp,
       Lower(/*epochs=*/1, /*need_label=*/true, pool, &fit.report));
+  MaybeLogExplain(fit.report);
   DMML_RETURN_IF_ERROR(
       ml::RunNormalEquationsOnOperand(lp.x, lp.y, config, pool, &fit.model));
   return fit;
@@ -598,6 +615,7 @@ Result<KMeansFit> Pipeline::TrainKMeans(const ml::KMeansConfig& config,
   DMML_ASSIGN_OR_RETURN(
       LoweredProgram lp,
       Lower(config.max_iters, /*need_label=*/false, pool, &fit.report));
+  MaybeLogExplain(fit.report);
   DMML_ASSIGN_OR_RETURN(fit.model,
                         ml::TrainKMeansOnOperand(lp.x, config, pool));
   return fit;

@@ -35,11 +35,13 @@
 #define DMML_PIPELINE_PIPELINE_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "ml/glm.h"
 #include "ml/kmeans.h"
+#include "ml/unified_trainers.h"
 #include "relational/logical_plan.h"
 #include "relational/operators.h"
 #include "relational/predicate.h"
@@ -103,6 +105,10 @@ struct PipelineReport {
 
   /// Estimated vs. actual cardinality per executed relational operator.
   std::vector<relational::OperatorObservation> relational_ops;
+
+  /// Pipeline::TrainGlm only: the batch-GD engine's route for the bound
+  /// operand and its two costs (ml::ChooseBatchGdRoute).
+  std::optional<ml::BatchGdRouteChoice> training_route;
 
   /// DagAnalysis dump of the epoch program over the chosen binding.
   std::string laopt_explain;

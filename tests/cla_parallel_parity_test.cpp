@@ -8,6 +8,9 @@
 #include <cmath>
 #include <cstdlib>
 #include <memory>
+#include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "cla/compressed_matrix.h"
@@ -107,6 +110,46 @@ TEST(ClaParallelCompressTest, CompressCountersAdvance) {
   auto cm = CompressedMatrix::Compress(m);
   EXPECT_EQ(Counter("cla.compress.columns_analyzed") - analyzed, m.cols());
   EXPECT_EQ(Counter("cla.compress.groups_encoded") - encoded, cm.groups().size());
+}
+
+// --------------------------------------------------------------------------
+// Windowed Gram
+// --------------------------------------------------------------------------
+
+// GramRangeInto against the naive Gram of the decompressed window, serially
+// and on a 4-worker pool, over every encoding: with and without co-coding,
+// and over windows that are empty, one row, the last row, every row,
+// interior, and across the 2048-row chunk boundary.
+TEST(ClaGramRangeTest, MatchesReferenceOfSlicedRowsOnEveryEncoding) {
+  const size_t n = 4997;
+  const DenseMatrix m = ParityData(n, 23);
+  ThreadPool pool(4);
+  for (bool cocode : {false, true}) {
+    const CompressedMatrix cm =
+        CompressedMatrix::Compress(m, cocode ? CocodingOptions() : CompressionOptions{});
+    std::set<GroupFormat> formats;
+    bool cocoded = false;
+    for (const auto& g : cm.groups()) {
+      formats.insert(g->format());
+      cocoded = cocoded || g->columns().size() > 1;
+    }
+    EXPECT_EQ(formats.size(), 4u) << cm.FormatSummary();
+    EXPECT_EQ(cocoded, cocode) << cm.FormatSummary();
+    const std::pair<size_t, size_t> windows[] = {
+        {0, 0}, {0, 1}, {n - 1, n}, {0, n}, {17, 33}, {2000, 2100}};
+    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      for (const auto& [b, e] : windows) {
+        SCOPED_TRACE(std::string(cocode ? "co-coded " : "") + (p ? "pool" : "serial") +
+                     " window [" + std::to_string(b) + ", " + std::to_string(e) + ")");
+        DenseMatrix out(3, 3, 7.0);  // Dirty and misshapen: fully overwritten.
+        ASSERT_TRUE(cm.GramRangeInto(b, e, &out, p).ok());
+        ExpectMatricesNear(out, la::reference::Gram(m.SliceRows(b, e)), 1e-12);
+      }
+    }
+  }
+  DenseMatrix out;
+  EXPECT_FALSE(CompressedMatrix::Compress(m).GramRangeInto(2, 1, &out).ok());
+  EXPECT_FALSE(CompressedMatrix::Compress(m).GramRangeInto(0, n + 1, &out).ok());
 }
 
 // --------------------------------------------------------------------------

@@ -12,6 +12,7 @@
 #include <utility>
 
 #include "data/generators.h"
+#include "factorized/factorized_gramian.h"
 #include "factorized/factorized_operand.h"
 #include "factorized/normalized_matrix.h"
 #include "la/kernels.h"
@@ -19,6 +20,7 @@
 #include "laopt/expr.h"
 #include "ml/metrics.h"
 #include "ml/unified_trainers.h"
+#include "util/thread_pool.h"
 
 namespace dmml::factorized {
 namespace {
@@ -124,7 +126,20 @@ TEST(NormalizedMatrixTest, RangedProductsMatchMaterializedWindows) {
     ASSERT_TRUE(rmm.ok()) << rmm.status().message();
     EXPECT_EQ(rmm->rows(), nm->cols());
     EXPECT_TRUE(rmm->ApproxEquals(la::Multiply(la::Transpose(slice), r), 1e-12));
+
+    // The windowed cofactor Gramian: histograms, grouped sums and the
+    // cross-table co-occurrences cover the window's fact rows only, serially
+    // and through the operand on a pool.
+    const DenseMatrix want = la::reference::Gram(slice);
+    EXPECT_TRUE(FactorizedGramian(*nm, b, e).ApproxEquals(want, 1e-12));
+    ThreadPool pool(4);
+    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      auto gram = op.linear()->Gram(b, e, p);
+      ASSERT_TRUE(gram.ok()) << gram.status().message();
+      EXPECT_TRUE(gram->ApproxEquals(want, 1e-12));
+    }
   }
+  EXPECT_TRUE(FactorizedGramian(*nm, 0, n) == FactorizedGramian(*nm));
   // The full window is the unwindowed product, bit for bit.
   EXPECT_TRUE(*nm->Multiply(m, 0, n) == *nm->Multiply(m));
   const DenseMatrix u = data::GaussianMatrix(n, 2, 45);
@@ -137,10 +152,9 @@ TEST(NormalizedMatrixTest, RangedProductsMatchMaterializedWindows) {
 }
 
 TEST(NormalizedMatrixTest, ExecutorRunsWindowedTransposeProductsFactorized) {
-  // t(X[b:e)) %*% R runs the windowed RMM with no densify fallback, while
-  // t(X[b:e)) %*% X[b:e) must not answer with the whole-matrix Gramian
-  // (Orion's cofactors cover every row): it takes the RMM against its
-  // densified window instead.
+  // t(X[b:e)) %*% R runs the windowed RMM and t(X[b:e)) %*% X[b:e) the
+  // windowed cofactor Gramian, neither with a densify fallback; the Gram
+  // must answer for the window, not for every row.
   auto nm = std::make_shared<const NormalizedMatrix>(SmallNormalized(46));
   const size_t b = 10, e = 35;
   const laopt::Operand x = MakeFactorizedOperand(nm).Slice(b, e);
@@ -162,9 +176,11 @@ TEST(NormalizedMatrixTest, ExecutorRunsWindowedTransposeProductsFactorized) {
   EXPECT_TRUE((*rmm_out)->ApproxEquals(la::Multiply(la::Transpose(window), *r), 1e-12));
   EXPECT_EQ(stats.densify_fallbacks, 0u);
 
-  auto gram_out = executor.Run(*gram);
+  laopt::ExecStats gram_stats;
+  auto gram_out = executor.Run(*gram, &gram_stats);
   ASSERT_TRUE(gram_out.ok()) << gram_out.status().message();
   EXPECT_TRUE((*gram_out)->ApproxEquals(la::Gram(window), 1e-12));
+  EXPECT_EQ(gram_stats.densify_fallbacks, 0u);
   EXPECT_FALSE((*gram_out)->ApproxEquals(la::Gram(nm->Materialize()), 1e-6));
 }
 

@@ -15,6 +15,7 @@
 #include <cstring>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "la/kernels.h"
@@ -144,6 +145,49 @@ TEST(KernelParityTest, GevmUsesPoolAndMatchesSerial) {
       reductions_before);
   EXPECT_LE(MaxAbsDiff(pooled, Gevm(x, a, nullptr)), TolFor(4096));
   EXPECT_LE(MaxAbsDiff(pooled, reference::Gevm(x, a)), TolFor(4096));
+}
+
+// Windowed Grams against the naive Gram of the sliced rows, serially and on
+// a 4-worker pool: empty, one-row, last-row, whole and interior windows, and
+// one that crosses row 2048. The CSR input has empty rows.
+TEST(KernelParityTest, WindowedGramsMatchReferenceOfSlicedRows) {
+  Rng rng(606);
+  const size_t n = 2100, d = 7;
+  const DenseMatrix x = RandomMatrix(n, d, &rng);
+  const SparseMatrix s = RandomSparse(n, d, 0.15, &rng);
+  const DenseMatrix s_dense = s.ToDense();
+  size_t empty_rows = 0;
+  for (size_t r = 0; r < n; ++r) empty_rows += s.RowBegin(r) == s.RowEnd(r);
+  ASSERT_GT(empty_rows, 0u) << "the CSR input must have empty rows";
+
+  ThreadPool pool(4);
+  const std::pair<size_t, size_t> windows[] = {
+      {0, 0}, {0, 1}, {n - 1, n}, {0, n}, {17, 33}, {2000, 2100}};
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    for (const auto& [b, e] : windows) {
+      SCOPED_TRACE(std::string(p ? "pool" : "serial") + " window [" +
+                   std::to_string(b) + ", " + std::to_string(e) + ")");
+      DenseMatrix dense_out, sparse_out;
+      GramRangeInto(x, b, e, &dense_out, p);
+      SparseGramRangeInto(s, b, e, &sparse_out, p);
+      const DenseMatrix want = reference::Gram(x.SliceRows(b, e));
+      const DenseMatrix want_s = reference::Gram(s_dense.SliceRows(b, e));
+      const double scale = 1.0 + static_cast<double>(e - b);
+      EXPECT_LE(MaxAbsDiff(dense_out, want), 1e-13 * scale);
+      EXPECT_LE(MaxAbsDiff(sparse_out, want_s), 1e-13 * scale);
+      for (size_t a = 0; a < d; ++a) {
+        for (size_t c = 0; c < a; ++c) {
+          EXPECT_EQ(dense_out.At(a, c), dense_out.At(c, a));
+          EXPECT_EQ(sparse_out.At(a, c), sparse_out.At(c, a));
+        }
+      }
+    }
+  }
+  // GramInto is the [0, n) window, bit for bit.
+  DenseMatrix whole, window;
+  GramInto(x, &whole, &pool);
+  GramRangeInto(x, 0, n, &window, &pool);
+  EXPECT_EQ(MaxAbsDiff(whole, window), 0.0);
 }
 
 TEST(KernelParityTest, IntoVariantsReuseFittingBuffers) {

@@ -287,12 +287,16 @@ TEST(PlanProfileTest, ProfilingOffMakesZeroProfileAllocations) {
 }
 
 TEST(PlanProfileTest, GlmTrainingProducesFullCalibrationReport) {
-  auto x = MakeDense(32, 5, 0.1);
+  // 16 columns: the route rule gives this shape the scan route (statistics
+  // cost 32·16·17 + 4·2·16² = 10752 > scan cost 4·4·32·16 = 8192).
+  auto x = MakeDense(32, 16, 0.1);
   DenseMatrix y(32, 1);
   for (size_t i = 0; i < 32; ++i) y.At(i, 0) = static_cast<double>(i % 3);
   ml::GlmConfig config;
   config.max_epochs = 4;
   config.learning_rate = 0.001;
+  ASSERT_EQ(ml::ChooseBatchGdRoute(Operand(x), {{32, 32}}, {config}).route,
+            ml::BatchGdRoute::kScan);
 
   PlanProfile profile;
   auto model = ml::TrainGlmOnOperand(Operand(x), y, config, nullptr, &profile);
@@ -315,6 +319,32 @@ TEST(PlanProfileTest, GlmTrainingProducesFullCalibrationReport) {
   EXPECT_NE(text.find("fused into consumer"), std::string::npos) << text;
   EXPECT_EQ(text.find("(never executed)"), std::string::npos)
       << "all non-leaf nodes must carry actuals:\n" << text;
+  EXPECT_TRUE(JsonChecker(profile.ExplainAnalyzeJson()).Valid());
+}
+
+TEST(PlanProfileTest, StatisticsRouteProfilesOneGramProductPerEpoch) {
+  // Five columns: the statistics route (32·5·6 + 4·2·5² = 1160 ≤ 2560).
+  auto x = MakeDense(32, 5, 0.1);
+  DenseMatrix y(32, 1);
+  for (size_t i = 0; i < 32; ++i) y.At(i, 0) = static_cast<double>(i % 3);
+  ml::GlmConfig config;
+  config.max_epochs = 4;
+  config.learning_rate = 0.001;
+  ASSERT_EQ(ml::ChooseBatchGdRoute(Operand(x), {{32, 32}}, {config}).route,
+            ml::BatchGdRoute::kStatistics);
+
+  PlanProfile profile;
+  auto model = ml::TrainGlmOnOperand(Operand(x), y, config, nullptr, &profile);
+  ASSERT_TRUE(model.ok()) << model.status().ToString();
+
+  // One G·W program per epoch, every epoch profiled; the statistics pass is
+  // a multi-root run, which the profiler does not record.
+  EXPECT_EQ(profile.runs(), model->epochs_run);
+  std::string text = profile.ExplainAnalyzeText();
+  EXPECT_NE(text.find("plan 0:"), std::string::npos) << text;
+  EXPECT_NE(text.find("matmul"), std::string::npos) << text;
+  EXPECT_NE(text.find("Input 'G0' 5x5"), std::string::npos) << text;
+  EXPECT_EQ(text.find("(never executed)"), std::string::npos) << text;
   EXPECT_TRUE(JsonChecker(profile.ExplainAnalyzeJson()).Valid());
 }
 

@@ -21,9 +21,11 @@
 // without DMML_INTER_NODE=1.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cla/compressed_matrix.h"
@@ -35,6 +37,7 @@
 #include "laopt/executor.h"
 #include "laopt/expr.h"
 #include "laopt/parser.h"
+#include "laopt/verify.h"
 #include "ml/metrics.h"
 #include "ml/unified_trainers.h"
 #include "modelsel/shared_scan.h"
@@ -473,6 +476,121 @@ TEST_P(OneEngineParityTest, CrossValidatedRungMatchesDenseBindingWithoutDensifyi
       }
     }
   }
+}
+
+TEST_P(OneEngineParityTest, FourFoldStatisticsRungMatchesPerRowReference) {
+  // A 4-fold, 32-config Gaussian rung that the route rule sends to the
+  // statistics route: each (fold, config) column must match the per-row
+  // loop over a gathered copy of the fold's training rows, on every binding.
+  const size_t n = join_.dense->rows(), q = n / 4;
+  const std::vector<modelsel::FoldRange> folds = {
+      {0, q}, {q, 2 * q}, {2 * q, 3 * q}, {3 * q, n}};
+  std::vector<ml::GlmConfig> configs;
+  for (double lr : {0.02, 0.04, 0.06, 0.08, 0.1, 0.12, 0.14, 0.16}) {
+    for (double l2 : {0.0, 1e-3, 1e-2, 1e-1}) {
+      ml::GlmConfig c;
+      c.learning_rate = lr;
+      c.l2 = l2;
+      c.max_epochs = 12;
+      c.tolerance = 0;
+      configs.push_back(c);
+    }
+  }
+  ASSERT_EQ(ml::ChooseBatchGdRoute(x_, folds, configs).route,
+            ml::BatchGdRoute::kStatistics);
+  const uint64_t fallbacks = CounterValue("laopt.repr.densify_fallbacks");
+  auto rung = modelsel::SharedScanTrain(x_, join_.y_gaussian, folds, configs, &pool_);
+  ASSERT_TRUE(rung.ok()) << rung.status().message();
+  EXPECT_EQ(rung->route.route, ml::BatchGdRoute::kStatistics);
+  EXPECT_EQ(CounterValue("laopt.repr.densify_fallbacks"), fallbacks);
+
+  auto near = [](double got, double want) {
+    return std::fabs(got - want) <= 1e-9 * std::max(1.0, std::fabs(want));
+  };
+  for (size_t f = 0; f < folds.size(); ++f) {
+    SCOPED_TRACE("fold " + std::to_string(f));
+    std::vector<size_t> rows;
+    for (size_t i = 0; i < n; ++i) {
+      if (i < folds[f].begin || i >= folds[f].end) rows.push_back(i);
+    }
+    DenseMatrix xt(rows.size(), join_.dense->cols()), yt(rows.size(), 1);
+    for (size_t i = 0; i < rows.size(); ++i) {
+      std::copy(join_.dense->Row(rows[i]), join_.dense->Row(rows[i]) + xt.cols(),
+                xt.Row(i));
+      yt.At(i, 0) = join_.y_gaussian.At(rows[i], 0);
+    }
+    const modelsel::SharedScanFold& fold = rung->folds[f];
+    for (size_t c = 0; c < configs.size(); ++c) {
+      SCOPED_TRACE("config " + std::to_string(c));
+      const ml::GlmModel ref = ReferenceBatchGd(xt, yt, configs[c]);
+      EXPECT_EQ(fold.epochs_run[c], ref.epochs_run);
+      for (size_t j = 0; j < xt.cols(); ++j) {
+        EXPECT_PRED2(near, fold.weights.At(j, c), ref.weights.At(j, 0)) << "weight " << j;
+      }
+      EXPECT_PRED2(near, fold.intercepts[c], ref.intercept);
+      ASSERT_EQ(fold.loss_histories[c].size(), ref.loss_history.size());
+      for (size_t e = 0; e < ref.loss_history.size(); ++e) {
+        EXPECT_PRED2(near, fold.loss_histories[c][e], ref.loss_history[e])
+            << "epoch " << e;
+      }
+    }
+  }
+}
+
+TEST_P(OneEngineParityTest, GramsRunTheBindingsOwnKernelWithoutDensifying) {
+  // t(X[b:e)) %*% X[b:e) and the unsliced t(X) %*% X: every binding runs its
+  // own Gram, lint-quiet, with no densify fallback.
+  const size_t n = join_.dense->rows();
+  const std::pair<size_t, size_t> windows[] = {{17, 200}, {0, n}};
+  for (const auto& [b, e] : windows) {
+    SCOPED_TRACE("window [" + std::to_string(b) + ", " + std::to_string(e) + ")");
+    const Operand x = b == 0 && e == n ? x_ : x_.Slice(b, e);
+    auto leaf = ExprNode::InputOperand(x, "X");
+    ASSERT_TRUE(leaf.ok());
+    auto gram = ExprNode::MatMul(*ExprNode::Transpose(*leaf), *leaf);
+    ASSERT_TRUE(gram.ok());
+    EXPECT_TRUE(LintPlan(*gram).empty()) << RenderDiagnostics(LintPlan(*gram));
+    BufferedExecutor executor(&pool_);
+    ExecStats stats;
+    auto out = executor.Run(*gram, &stats);
+    ASSERT_TRUE(out.ok()) << out.status().message();
+    EXPECT_EQ(stats.densify_fallbacks, 0u);
+    EXPECT_TRUE((*out)->ApproxEquals(la::reference::Gram(join_.dense->SliceRows(b, e)),
+                                     1e-12));
+  }
+}
+
+TEST_P(OneEngineParityTest, ParsedGramRunsTheGramKernel) {
+  // The parser gives both X occurrences of t(X) %*% X one leaf, so the
+  // executor's Gram arm runs on every binding: no densify fallback, the
+  // result within 1e-12 of the Gram the dense kernels computed before.
+  const Environment env = {{"X", x_}};
+  auto parsed = ParseExpression("t(X) %*% X", env);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().message();
+  const uint64_t grams = CounterValue("la.gram.calls");
+  ExecStats stats;
+  auto out = Execute(*parsed, &pool_, &stats);
+  ASSERT_TRUE(out.ok()) << out.status().message();
+  EXPECT_EQ(stats.densify_fallbacks, 0u);
+  // Dense, CSR and the factorized entity block count la.gram.calls; CLA's
+  // blockwise Gram is told apart by its zero fallbacks.
+  if (GetParam() != Binding::kCompressed) {
+    EXPECT_GT(CounterValue("la.gram.calls"), grams);
+  }
+  EXPECT_TRUE(out->ApproxEquals(la::TransposeMultiply(*join_.dense, *join_.dense), 1e-12));
+}
+
+TEST_P(OneEngineParityTest, NormalEquationsNeverDensify) {
+  ml::GlmConfig config;
+  config.solver = ml::GlmSolver::kNormalEquations;
+  config.l2 = 0.1;
+  const uint64_t fallbacks = CounterValue("laopt.repr.densify_fallbacks");
+  ml::GlmModel model;
+  Status st = ml::RunNormalEquationsOnOperand(x_, join_.y_gaussian, config, &pool_,
+                                              &model);
+  ASSERT_TRUE(st.ok()) << st.message();
+  EXPECT_EQ(CounterValue("laopt.repr.densify_fallbacks"), fallbacks)
+      << "XᵀX, Xᵀy, colSums(X) and X·w must all run natively";
 }
 
 INSTANTIATE_TEST_SUITE_P(Bindings, OneEngineParityTest,

@@ -23,6 +23,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -30,6 +31,7 @@
 #include "cla/compressed_matrix.h"
 #include "data/generators.h"
 #include "la/dense_matrix.h"
+#include "la/kernels.h"
 #include "la/sparse_matrix.h"
 #include "laopt/operand.h"
 #include "ml/glm.h"
@@ -243,6 +245,40 @@ TEST(SharedScanTest, ParityAcrossSparseAndCompressedBindings) {
       EXPECT_LE(MaxAbsDiff((*shared)[c].weights, (*dense_models)[c].weights),
                 1e-9);
       EXPECT_NEAR((*shared)[c].intercept, (*dense_models)[c].intercept, 1e-9);
+    }
+  }
+}
+
+TEST(SharedScanTest, StatisticsRouteColumnsBitEqualToWidthOneOnEveryBinding) {
+  // On the statistics route the statistics do not depend on the rung width
+  // and G·W runs the dense ranged kernel, so a wide column is bit-equal to
+  // its width-1 run under the CSR and CLA bindings too.
+  auto dense = std::make_shared<DenseMatrix>(MixedReprDesign(120, 6, 5));
+  DenseMatrix y = data::GaussianMatrix(120, 1, 6);
+  std::vector<GlmConfig> configs = HeterogeneousRung(GlmFamily::kGaussian, 5);
+  for (GlmConfig& c : configs) c.learning_rate *= 0.05;
+  const std::vector<FoldRange> folds = {{0, 40}, {40, 80}};
+  const Operand bindings[] = {
+      Operand(dense), Operand(std::make_shared<SparseMatrix>(ToCsr(*dense))),
+      Operand(std::make_shared<CompressedMatrix>(CompressedMatrix::Compress(*dense)))};
+  for (const Operand& op : bindings) {
+    SCOPED_TRACE(laopt::ReprName(op.repr()));
+    ASSERT_EQ(ml::ChooseBatchGdRoute(op, folds, configs).route,
+              ml::BatchGdRoute::kStatistics);
+    auto wide = SharedScanTrain(op, y, folds, configs);
+    ASSERT_TRUE(wide.ok()) << wide.status().message();
+    for (size_t c = 0; c < configs.size(); ++c) {
+      auto one = SharedScanTrain(op, y, folds, {configs[c]});
+      ASSERT_TRUE(one.ok());
+      for (size_t f = 0; f < folds.size(); ++f) {
+        const SharedScanFold& w = wide->folds[f];
+        const SharedScanFold& o = one->folds[f];
+        for (size_t j = 0; j < dense->cols(); ++j) {
+          EXPECT_EQ(w.weights.At(j, c), o.weights.At(j, 0)) << "config " << c;
+        }
+        EXPECT_EQ(w.intercepts[c], o.intercepts[0]);
+        EXPECT_EQ(w.loss_histories[c], o.loss_histories[0]);
+      }
     }
   }
 }
@@ -520,6 +556,198 @@ TEST(SharedScanTest, RungCountersAndWidthHistogram) {
   EXPECT_EQ(CounterValue("modelsel.shared.rungs"), rungs + 1);
   EXPECT_EQ(CounterValue("modelsel.shared.configs_per_scan"), per_scan + 4);
   EXPECT_EQ(width->TotalCount(), width_count + 1);
+}
+
+TEST(SharedScanTest, RejectsHyperparametersThatPoisonTraining) {
+  // NaN ≤ 0 is false, so a `learning_rate <= 0` test let a NaN rate train
+  // every weight to NaN with an OK status; a negative decay drives
+  // 1 + decay·epoch through zero. Each must be refused, naming the field,
+  // by the single fit and by a rung.
+  DenseMatrix x = data::GaussianMatrix(40, 3, 91);
+  DenseMatrix y = data::GaussianMatrix(40, 1, 92);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  struct Case {
+    const char* field;
+    GlmConfig config;
+  };
+  std::vector<Case> cases;
+  for (double v : {nan, inf, -inf, 0.0, -1.0}) {
+    cases.push_back({"learning_rate", {}});
+    cases.back().config.learning_rate = v;
+  }
+  for (double v : {nan, inf, -0.5}) {
+    cases.push_back({"lr_decay", {}});
+    cases.back().config.lr_decay = v;
+    cases.push_back({"l2", {}});
+    cases.back().config.l2 = v == -0.5 ? -1.0 : v;
+  }
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string(c.field) + " = " + std::to_string(c.config.learning_rate) +
+                 "/" + std::to_string(c.config.lr_decay) + "/" +
+                 std::to_string(c.config.l2));
+    auto single = ml::TrainGlmOnOperand(ml::BorrowOperand(x), y, c.config);
+    ASSERT_FALSE(single.ok());
+    EXPECT_EQ(single.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(single.status().message().find(c.field), std::string::npos)
+        << single.status().message();
+    auto rung = SharedScanTrain(ml::BorrowOperand(x), y, {{0, 10}, {10, 20}},
+                                {GlmConfig{}, c.config});
+    ASSERT_FALSE(rung.ok());
+    EXPECT_EQ(rung.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(rung.status().message().find(c.field), std::string::npos)
+        << rung.status().message();
+  }
+}
+
+TEST(SharedScanTest, NoiseFreeFitTakesNearZeroLossesFromResiduals) {
+  // y = X·w* exactly, trained until the fit is all but exact. The
+  // statistics loss ½(wᵀGw − 2cᵀw + yᵀy)/n cancels there, so those epochs
+  // take their loss from a residual pass: no loss goes negative, and entry
+  // e still is GlmLoss at the weights an e-epoch run ends with.
+  const size_t n = 200, d = 4;
+  const DenseMatrix x = data::GaussianMatrix(n, d, 93);
+  DenseMatrix w_star(d, 1);
+  for (size_t j = 0; j < d; ++j) w_star.At(j, 0) = 1.0 + static_cast<double>(j);
+  const DenseMatrix y = la::Gemv(x, w_star);
+  GlmConfig config;
+  config.learning_rate = 0.3;
+  config.max_epochs = 50;
+  config.tolerance = 0;
+  // Every run below (2 epochs and up) takes the statistics route.
+  for (size_t e : {2u, 50u}) {
+    config.max_epochs = e;
+    ASSERT_EQ(ml::ChooseBatchGdRoute(ml::BorrowOperand(x), {{n, n}}, {config}).route,
+              ml::BatchGdRoute::kStatistics);
+  }
+  config.max_epochs = 50;
+
+  const uint64_t rescans = CounterValue("ml.glm.stats.loss_rescans");
+  auto model = ml::TrainGlmOnOperand(ml::BorrowOperand(x), y, config);
+  ASSERT_TRUE(model.ok()) << model.status().message();
+  EXPECT_GT(CounterValue("ml.glm.stats.loss_rescans"), rescans);
+  const double yty_2n = la::Dot(y, y) / (2.0 * static_cast<double>(n));
+  EXPECT_LT(model->loss_history.back(), 1e-6 * yty_2n) << "the fit must get exact";
+  for (double loss : model->loss_history) EXPECT_GE(loss, 0.0);
+
+  for (size_t e : {0u, 2u, 10u, 25u, 35u, 42u, 49u}) {
+    SCOPED_TRACE("epoch " + std::to_string(e));
+    DenseMatrix w(d, 1);
+    double b = 0.0;
+    if (e > 0) {
+      GlmConfig shorter = config;
+      shorter.max_epochs = e;
+      auto prefix = ml::TrainGlmOnOperand(ml::BorrowOperand(x), y, shorter);
+      ASSERT_TRUE(prefix.ok());
+      w = prefix->weights;
+      b = prefix->intercept;
+    }
+    auto expected = ml::GlmLoss(x, y, w, b, config.family, config.l2);
+    ASSERT_TRUE(expected.ok());
+    EXPECT_NEAR(model->loss_history[e], *expected, 1e-9 * *expected);
+  }
+}
+
+TEST(BatchGdRouteTest, WorkedValuesOfTheRouteRule) {
+  auto configs_of = [](GlmFamily family, size_t epochs, size_t k) {
+    std::vector<GlmConfig> configs(k);
+    for (GlmConfig& c : configs) {
+      c.family = family;
+      c.max_epochs = epochs;
+    }
+    return configs;
+  };
+  // select_cla: 25,000 x 40 CLA, 4 folds, 10 epochs. Statistics costs
+  // 25000·40·41 + 10·4·2·40² = 41.128M, the scan 10·4·(4·18750·40) = 120M.
+  {
+    const size_t n = 25000, q = n / 4;
+    const Operand x(std::make_shared<const CompressedMatrix>(
+        CompressedMatrix::Compress(DenseMatrix(n, 40))));
+    const std::vector<FoldRange> folds = {{0, q}, {q, 2 * q}, {2 * q, 3 * q}, {3 * q, n}};
+    for (size_t k : {1u, 32u}) {
+      const ml::BatchGdRouteChoice choice =
+          ml::ChooseBatchGdRoute(x, folds, configs_of(GlmFamily::kGaussian, 10, k));
+      EXPECT_EQ(choice.route, ml::BatchGdRoute::kStatistics) << "k " << k;
+      EXPECT_EQ(choice.statistics_cost, 41128000.0);
+      EXPECT_EQ(choice.scan_cost, 120000000.0);
+    }
+    // The binomial family always scans, whatever the costs.
+    EXPECT_EQ(ml::ChooseBatchGdRoute(x, folds, configs_of(GlmFamily::kBinomial, 10, 32))
+                  .route,
+              ml::BatchGdRoute::kScan);
+  }
+  // ScansRunOnCallerPool's single fit: 4096 x 16 for 2 epochs.
+  // 4096·16·17 + 2·2·16² = 1,115,136 > 2·4·4096·16 = 524,288.
+  {
+    const DenseMatrix x(4096, 16);
+    for (size_t k : {1u, 32u}) {
+      const ml::BatchGdRouteChoice choice = ml::ChooseBatchGdRoute(
+          ml::BorrowOperand(x), {{4096, 4096}}, configs_of(GlmFamily::kGaussian, 2, k));
+      EXPECT_EQ(choice.route, ml::BatchGdRoute::kScan) << "k " << k;
+      EXPECT_EQ(choice.statistics_cost, 1115136.0);
+      EXPECT_EQ(choice.scan_cost, 524288.0);
+    }
+  }
+  // bench_laopt --smoke's compressed GLM: 4000 x 30 for 5 epochs.
+  // 4000·30·31 + 5·2·30² = 3,729,000 > 5·4·4000·30 = 2,400,000.
+  {
+    const DenseMatrix x(4000, 30);
+    const ml::BatchGdRouteChoice choice = ml::ChooseBatchGdRoute(
+        ml::BorrowOperand(x), {{4000, 4000}}, configs_of(GlmFamily::kGaussian, 5, 1));
+    EXPECT_EQ(choice.route, ml::BatchGdRoute::kScan);
+    EXPECT_EQ(choice.statistics_cost, 3729000.0);
+    EXPECT_EQ(choice.scan_cost, 2400000.0);
+  }
+  // Wider than a fold's training rows: the costs favour statistics
+  // (10·12·13 + 100·2·144 = 30,360 ≤ 100·4·120 = 48,000), the shape does not.
+  {
+    const DenseMatrix x(10, 12);
+    const ml::BatchGdRouteChoice choice = ml::ChooseBatchGdRoute(
+        ml::BorrowOperand(x), {{10, 10}}, configs_of(GlmFamily::kGaussian, 100, 1));
+    EXPECT_LE(choice.statistics_cost, choice.scan_cost);
+    EXPECT_EQ(choice.route, ml::BatchGdRoute::kScan);
+  }
+  // CSR counts nonzeros: 2 per row over 100 x 50 for 10 epochs, so the Gram
+  // pass is 100·2·3 = 600 plus 10·2·50² = 50,000 per-epoch work, against a
+  // scan of 10·4·200 = 8,000.
+  {
+    std::vector<la::Triplet> triplets;
+    for (size_t r = 0; r < 100; ++r) {
+      triplets.push_back({r, r % 50, 1.0});
+      triplets.push_back({r, (r + 7) % 50, 2.0});
+    }
+    const Operand x(std::make_shared<const SparseMatrix>(
+        SparseMatrix::FromTriplets(100, 50, triplets)));
+    const ml::BatchGdRouteChoice choice =
+        ml::ChooseBatchGdRoute(x, {{100, 100}}, configs_of(GlmFamily::kGaussian, 10, 1));
+    EXPECT_EQ(choice.statistics_cost, 50600.0);
+    EXPECT_EQ(choice.scan_cost, 8000.0);
+    EXPECT_EQ(choice.route, ml::BatchGdRoute::kScan);
+  }
+}
+
+TEST(BatchGdRouteTest, RouteCountersAndResultRecordTheChoice) {
+  DenseMatrix x = data::GaussianMatrix(300, 5, 94);
+  DenseMatrix y = data::GaussianMatrix(300, 1, 95);
+  const std::vector<GlmConfig> configs = HeterogeneousRung(GlmFamily::kGaussian, 8);
+  const uint64_t stats_runs = CounterValue("ml.glm.route.statistics");
+  const uint64_t scan_runs = CounterValue("ml.glm.route.scan");
+  auto trained = SharedScanTrain(ml::BorrowOperand(x), y, {{0, 100}}, configs);
+  ASSERT_TRUE(trained.ok());
+  const ml::BatchGdRouteChoice choice =
+      ml::ChooseBatchGdRoute(ml::BorrowOperand(x), {{0, 100}}, configs);
+  EXPECT_EQ(trained->route.route, ml::BatchGdRoute::kStatistics);
+  EXPECT_EQ(trained->route.statistics_cost, choice.statistics_cost);
+  EXPECT_EQ(trained->route.scan_cost, choice.scan_cost);
+  EXPECT_EQ(CounterValue("ml.glm.route.statistics"), stats_runs + 1);
+  EXPECT_EQ(CounterValue("ml.glm.route.scan"), scan_runs);
+
+  auto binomial = BatchedTrainGlm(data::MakeClassification(100, 4, 0.1, 96).x,
+                                  data::MakeClassification(100, 4, 0.1, 96).y,
+                                  HeterogeneousRung(GlmFamily::kBinomial, 3));
+  ASSERT_TRUE(binomial.ok());
+  EXPECT_EQ(CounterValue("ml.glm.route.statistics"), stats_runs + 1);
+  EXPECT_EQ(CounterValue("ml.glm.route.scan"), scan_runs + 1);
 }
 
 TEST(SharedScanTest, ScansRunOnCallerPool) {

@@ -5,6 +5,8 @@
 
 #include "data/generators.h"
 #include "la/kernels.h"
+#include "la/sparse_matrix.h"
+#include "laopt/executor.h"
 #include "laopt/optimizer.h"
 #include "laopt/parser.h"
 
@@ -140,6 +142,38 @@ TEST_F(ParserTest, RidgeGradientExpression) {
   auto expected =
       la::Add(la::Multiply(la::Transpose(*x_), residual), la::Scale(*w_, 0.1));
   EXPECT_TRUE(result->ApproxEquals(expected, 1e-10));
+}
+
+TEST_F(ParserTest, EveryOccurrenceOfANameIsOneLeaf) {
+  auto parsed = ParseExpression("t(X) %*% X + t(X) %*% X", env_);
+  ASSERT_TRUE(parsed.ok());
+  const ExprPtr& lhs = (*parsed)->children()[0];
+  const ExprPtr& rhs = (*parsed)->children()[1];
+  ASSERT_NE(lhs.get(), rhs.get());
+  EXPECT_EQ(lhs->children()[1].get(), rhs->children()[1].get());
+  EXPECT_EQ(lhs->children()[0]->children()[0].get(), lhs->children()[1].get())
+      << "t(X) %*% X must read one X leaf, the Gram pattern";
+}
+
+TEST_F(ParserTest, NonDenseNameDensifiesOncePerRun) {
+  // Three occurrences of a CSR X in elementwise positions are one leaf,
+  // densified once per run whether or not the region is fused.
+  auto sparse = std::make_shared<const la::SparseMatrix>(
+      la::SparseMatrix::FromDense(*x_, 0.0));
+  const Environment env = {{"X", Operand(sparse)}};
+  auto parsed = ParseExpression("2 * X + X * X", env);
+  ASSERT_TRUE(parsed.ok());
+  auto optimized = Optimize(*parsed);
+  ASSERT_TRUE(optimized.ok());
+  const DenseMatrix want =
+      la::Add(la::Scale(*x_, 2.0), la::ElementwiseMultiply(*x_, *x_));
+  for (const ExprPtr& plan : {*parsed, *optimized}) {
+    ExecStats stats;
+    auto out = Execute(plan, nullptr, &stats);
+    ASSERT_TRUE(out.ok()) << out.status().message();
+    EXPECT_EQ(stats.densify_fallbacks, 1u);
+    EXPECT_TRUE(out->ApproxEquals(want, 1e-12));
+  }
 }
 
 }  // namespace

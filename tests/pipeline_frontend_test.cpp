@@ -315,6 +315,21 @@ TEST(PipelineChooserTest, ExplainRendersRelationalPrefixAndRoute) {
             std::string::npos);
   EXPECT_NE(text.find("laopt epoch program"), std::string::npos);
   EXPECT_NE(text.find("est"), std::string::npos);
+  // The batch-GD route for the bound operand, with both of its costs.
+  ASSERT_TRUE(fit->report.training_route.has_value());
+  EXPECT_EQ(fit->report.training_route->route, ml::BatchGdRoute::kStatistics);
+  EXPECT_NE(text.find("training: batch GD on the statistics route — cost statistics "),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find(" vs scan "), std::string::npos);
+  // Closed-form and k-means fits run no batch-GD engine.
+  ml::GlmConfig ne_config;
+  ne_config.solver = ml::GlmSolver::kNormalEquations;
+  ne_config.l2 = 0.1;  // 8 dimension rows leave XᵀX singular.
+  auto ne = StarPipeline(&catalog, 1, 30, Route::kAuto).NormalEquations(ne_config);
+  ASSERT_TRUE(ne.ok()) << ne.status().ToString();
+  EXPECT_FALSE(ne->report.training_route.has_value());
+  EXPECT_EQ(ne->report.ExplainText().find("training:"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
